@@ -203,23 +203,31 @@ def cmd_overlaps(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _nu(cfg: dict) -> float:
+    nu = require_number(cfg, "nu", 0.0, 1.0)
+    if nu in (0.0, 1.0):
+        raise ConfigError("nu", f"must lie in the open interval (0, 1), got {nu}")
+    return nu
+
+
+def _optimize(gram: st.GramData, nu: float, tols: dict) -> usd.UsdSolution:
+    try:
+        return usd.optimize_usd(gram, nu, tols["num_tol"], tols["degeneracy_tol"])
+    except ValueError as exc:  # the optimizer needs equal decoy overlaps
+        raise ConfigError("decoy", str(exc))
+
+
 def _solve_point(cfg: dict, alpha: float, phi: float, n_cut: int, tols: dict) -> usd.UsdSolution:
-    gram = _gram(cfg, alpha, phi, n_cut, tols)
-    return usd.optimize_usd(
-        gram,
-        require_number(cfg, "nu", 0.0, 1.0),
-        num_tol=tols["num_tol"],
-        degeneracy_tol=tols["degeneracy_tol"],
-    )
+    return _optimize(_gram(cfg, alpha, phi, n_cut, tols), _nu(cfg), tols)
 
 
 def cmd_usd(cfg: dict, csv_path: str | None) -> int:
     alpha, phi, n_cut = _signal_params(cfg)
     tols = _tolerances(cfg)
-    nu = require_number(cfg, "nu", 0.0, 1.0)
+    nu = _nu(cfg)
     gram = _gram(cfg, alpha, phi, n_cut, tols)
     geom = usd.build_geometry(gram, tols["num_tol"], tols["degeneracy_tol"])
-    solution = usd.optimize_usd(gram, nu, tols["num_tol"], tols["degeneracy_tol"])
+    solution = _optimize(gram, nu, tols)
 
     sweep_info = None
     sweep = _sweep_values(cfg, ("alpha", "r"))
@@ -326,11 +334,10 @@ def cmd_simulate(cfg: dict) -> int:
     try:
         sim_cfg = mc.SimConfig(
             n_pulses=require_int(cfg, "simulation.n_pulses", lo=1),
-            nu=require_number(cfg, "nu", 0.0, 1.0),
+            nu=_nu(cfg),
             channel=model,
             eve=eve,
             seed=require_int(cfg, "simulation.seed", lo=0),
-            chunk_size=require_int(cfg, "simulation.chunk_size", lo=1),
         )
         z = require_number(cfg, "simulation.z", lo=0.0)
         verdict, stats = mc.run_experiment(sim_cfg, z)
@@ -409,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("overlaps", "print analytic and Fock-numeric state overlaps"),
         ("usd", "solve the discrimination optimum for the configured decoy"),
         ("eve", "solve the statistics-preserving interception constraints"),
-        ("simulate", "run a seeded pulse-level session and threshold test"),
+        ("simulate", "draw a seeded session's exact outcome counts and apply the threshold test"),
         ("maxloss", "evaluate the maximum tolerable channel loss"),
     ):
         cmd = sub.add_parser(name, help=help_text)

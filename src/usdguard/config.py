@@ -3,13 +3,16 @@
 A run is described by one nested JSON document; command-line
 ``--set key=value`` flags override individual (dotted) fields and
 ``--seed`` overrides the simulation seed.  Validation failures carry
-the dotted field path.
+the dotted field path.  NaN and +-Infinity parse from JSON but are
+never valid values, and reports echo the config, so they are rejected
+wherever they appear.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -28,7 +31,7 @@ DEFAULTS: dict[str, Any] = {
     "decoy": {"kind": "cat", "r": 0.5, "amplitudes": None},
     "channel": {"g": 0.9, "e": 0.01, "d0": 0.01, "d1": 0.01},
     "eve": None,
-    "simulation": {"n_pulses": 100000, "seed": 1, "z": 5.0, "chunk_size": 65536},
+    "simulation": {"n_pulses": 100000, "seed": 1, "z": 5.0},
     "loss": {"mu": 0.5, "eta_b": 0.5, "eta_d": 0.2, "p_d": 0.01},
     "sweep": None,
     "tolerances": {"num_tol": 1e-10, "tail_tol": 1e-12, "degeneracy_tol": 1e-8},
@@ -88,13 +91,30 @@ def load_config(
         _apply_set(cfg, key.strip(), _parse_set_value(value.strip()))
     if seed is not None:
         cfg["simulation"]["seed"] = seed
+    _reject_non_finite(cfg, "")
+    simulation = cfg.get("simulation")
+    if isinstance(simulation, dict) and "chunk_size" in simulation:
+        raise ConfigError("simulation.chunk_size", "removed: sessions are drawn as exact counts")
     return cfg
+
+
+def _reject_non_finite(node: Any, path: str) -> None:
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_non_finite(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _reject_non_finite(value, f"{path}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(path, f"must be finite, got {node}")
 
 
 def require_number(cfg: dict, field: str, lo: float | None = None, hi: float | None = None) -> float:
     value = _lookup(cfg, field)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(field, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(field, f"must be finite, got {value}")
     if lo is not None and value < lo:
         raise ConfigError(field, f"must be >= {lo}, got {value}")
     if hi is not None and value > hi:

@@ -1,16 +1,16 @@
-"""Seeded pulse-by-pulse simulation of honest and attacked sessions.
+"""Seeded simulation of honest and attacked sessions.
 
 The simulator draws at the conditional-probability level (the channel
 tables), not the optical-field level; the physics enters only through
-the table parameters.  Randomness is counter-based: each chunk of
-pulses gets an independent substream derived from (seed, chunk index),
-so serial and parallel executions agree bit for bit as long as
-chunk_size is part of the contract.
+the table parameters.  A session is drawn as its exact 3x3 count matrix
+rather than pulse by pulse: one multinomial gives the input counts and
+one multinomial per table row gives that input's outcome counts.  This
+has the same distribution as n independent pulses, costs O(1) in n, and
+equal seeds give equal counts.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +25,12 @@ class SimConfig:
     channel: ChannelModel
     eve: EveStrategy | None = None
     seed: int = 0
-    chunk_size: int = 65536
 
     def __post_init__(self):
-        if self.n_pulses < 1:
-            raise ValueError("n_pulses must be >= 1")
+        if not 1 <= self.n_pulses < 2**63:  # multinomial counts are int64
+            raise ValueError("n_pulses must lie in [1, 2**63)")
         if not (0.0 < self.nu < 1.0):
             raise ValueError("nu must lie in (0, 1)")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
 
     def table(self) -> CombinedChannel:
         if self.eve is None:
@@ -91,35 +88,22 @@ class SimStats:
         }
 
 
-def _chunk_counts(
-    seed: int, chunk_index: int, n: int, input_cum: np.ndarray, row_cum: np.ndarray
-) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
-    u_in = rng.random(n)
-    u_out = rng.random(n)
-    idx_in = np.minimum(np.searchsorted(input_cum, u_in, side="right"), 2)
-    # outcome j iff u lands in the j-th cumulative slot of the input's row
-    idx_out = np.minimum((u_out[:, None] >= row_cum[idx_in]).sum(axis=1), 2)
-    return np.bincount(idx_in * 3 + idx_out, minlength=9).reshape(3, 3).astype(np.int64)
-
-
 def simulate(cfg: SimConfig) -> SimStats:
-    """Draw n_pulses through the applicable table, chunk by chunk.
+    """Draw the session's count matrix exactly, in time independent of n_pulses.
 
     Each pulse picks an input symbol (0 and 1 each with probability
     (1 - nu)/2, decoy with nu), then an outcome from that input's table
-    row.  Identical (seed, chunk_size) give identical counts regardless
-    of how chunks are scheduled, since aggregation is a plain sum.
+    row.  The input counts of n such pulses are multinomial, and given
+    its input count each row's outcome counts are multinomial over the
+    row, so both are drawn directly from one generator seeded with
+    cfg.seed.
     """
-    table = cfg.table().matrix
-    input_probs = np.array([(1.0 - cfg.nu) / 2.0, (1.0 - cfg.nu) / 2.0, cfg.nu])
-    input_cum = np.cumsum(input_probs)
-    row_cum = np.cumsum(table, axis=1)
-    counts = np.zeros((3, 3), dtype=np.int64)
-    n_chunks = math.ceil(cfg.n_pulses / cfg.chunk_size)
-    for i in range(n_chunks):
-        n = min(cfg.chunk_size, cfg.n_pulses - i * cfg.chunk_size)
-        counts += _chunk_counts(cfg.seed, i, n, input_cum, row_cum)
+    # validation admits entries down to -NUM_TOL, which multinomial rejects; clip, then renormalize
+    table = np.clip(cfg.table().matrix, 0.0, None)
+    table /= table.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(cfg.seed)
+    n_in = rng.multinomial(cfg.n_pulses, [(1.0 - cfg.nu) / 2.0, (1.0 - cfg.nu) / 2.0, cfg.nu])
+    counts = np.array([rng.multinomial(n, row) for n, row in zip(n_in, table)])
     return SimStats(counts=counts, n_pulses=cfg.n_pulses)
 
 

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own solution paths: the grid
 oracle enumerates the feasible square with batched eigenvalue checks,
-and the Gram generators build overlap data from explicit random vectors
-so positive semidefiniteness holds by construction.
+the Gram generators build overlap data from explicit random vectors
+so positive semidefiniteness holds by construction, and the pulse-level
+sampler draws every pulse of a session on its own.
 """
 
 from __future__ import annotations
@@ -92,3 +93,13 @@ def explicit_a0_entries(gram: GramData, p_s: float, p_d: float) -> np.ndarray:
     a[2, 1] = p_s * (s12 * np.conj(h) + np.conj(k)) / (m * l2)
     a[2, 2] = 1.0 - (p_s * (abs(h) ** 2 + abs(k) ** 2) + l2 ** 2 * p_d) / (m * l) ** 2
     return a
+
+
+def pulse_level_counts(rng: np.random.Generator, n: int, nu: float, table: np.ndarray) -> np.ndarray:
+    """3x3 counts of n pulses drawn one by one: an input symbol, then an outcome from its row."""
+    input_cum = np.cumsum([(1.0 - nu) / 2.0, (1.0 - nu) / 2.0, nu])
+    row_cum = np.cumsum(table, axis=1)
+    idx_in = np.minimum(np.searchsorted(input_cum, rng.random(n), side="right"), 2)
+    # outcome j iff u lands in the j-th cumulative slot of the input's row
+    idx_out = np.minimum((rng.random(n)[:, None] >= row_cum[idx_in]).sum(axis=1), 2)
+    return np.bincount(idx_in * 3 + idx_out, minlength=9).reshape(3, 3)

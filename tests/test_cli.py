@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -228,3 +231,40 @@ def test_unknown_decoy_kind(capsys):
 def test_config_file_missing(capsys):
     code = main(["usd", "--config", "/nonexistent/cfg.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["usd", "eve", "simulate"])
+@pytest.mark.parametrize("override", ["alpha=NaN", "alpha=Infinity", "nu=0", "nu=1"])
+def test_non_finite_and_boundary_inputs_exit_2(capsys, command, override):
+    code = main([command, "--set", override])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert override.split("=")[0] in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["usd", "eve"])
+def test_non_symmetric_raw_decoy_exit_2(capsys, command):
+    code = main([command, "--set", "decoy.kind=raw", "--set", "decoy.amplitudes=[[0, 0], [1, 0]]"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "decoy" in err and "symmetric" in err
+
+
+def test_removed_chunk_size_rejected(capsys, tmp_path):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"simulation": {"n_pulses": 1000, "chunk_size": 65536}}))
+    for argv in (["--config", str(cfg)], ["--set", "simulation.chunk_size=1000"]):
+        code = main(["simulate", *argv])
+        assert code == 2
+        assert "simulation.chunk_size" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # only simulate needs numpy.random; importing it costs every other command memory and time
+    code = "import sys, usdguard.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}, cwd=REPO,
+    ).stdout
+    assert out.strip() == "False"

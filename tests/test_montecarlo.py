@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from usdguard.channel import ChannelModel, EveStrategy, ab_table, aeb_table, solve_eve
-from usdguard.montecarlo import SimConfig, SimStats, _chunk_counts, run_experiment, simulate
+from usdguard.channel import ChannelModel, CombinedChannel, EveStrategy, ab_table, aeb_table, solve_eve
+from usdguard.montecarlo import SimConfig, SimStats, run_experiment, simulate
+
+from _oracles import pulse_level_counts
 
 HONEST = ChannelModel(g=0.9, e=0.01, d0=0.01, d1=0.01)
 
@@ -27,25 +29,60 @@ def test_reproducible_counts():
     assert int(a.counts.sum()) == 50_000
 
 
-def test_chunk_aggregation_order_independent():
-    cfg = SimConfig(n_pulses=200_000, nu=0.01, channel=HONEST, seed=5, chunk_size=30_000)
-    table = cfg.table().matrix
-    input_cum = np.cumsum([(1 - cfg.nu) / 2, (1 - cfg.nu) / 2, cfg.nu])
-    row_cum = np.cumsum(table, axis=1)
-    sizes = [30_000] * 6 + [20_000]
-    parts = [
-        _chunk_counts(cfg.seed, i, n, input_cum, row_cum) for i, n in enumerate(sizes)
-    ]
-    forward = sum(parts[i] for i in range(len(parts)))
-    backward = sum(parts[i] for i in reversed(range(len(parts))))
-    assert np.array_equal(forward, backward)
-    assert np.array_equal(forward, simulate(cfg).counts)
+def _assert_moments_match(samples: np.ndarray, n: int, nu: float, table: np.ndarray):
+    """Per-cell sample mean and variance within 5 sigma of the multinomial moments.
+
+    A cell's count over n pulses is binomial(n, q) with q = p_in * table
+    entry; the standard error of the sample variance uses the binomial
+    fourth central moment.
+    """
+    k = len(samples)
+    q = np.array([(1.0 - nu) / 2.0, (1.0 - nu) / 2.0, nu])[:, None] * table
+    mean, var = n * q, n * q * (1.0 - q)
+    mu4 = var * (1.0 + 3.0 * (n - 2) * q * (1.0 - q))
+    se_mean = np.sqrt(var / k)
+    se_var = np.sqrt(np.maximum(mu4 - var**2 * (k - 3) / (k - 1), 0.0) / k)
+    got_mean, got_var = samples.mean(axis=0), samples.var(axis=0, ddof=1)
+    for i in range(3):
+        for j in range(3):
+            if q[i, j] == 0.0:
+                assert got_mean[i, j] == 0.0 and got_var[i, j] == 0.0, (i, j)
+                continue
+            assert abs(got_mean[i, j] - mean[i, j]) <= 5.0 * se_mean[i, j], (i, j, "mean")
+            assert abs(got_var[i, j] - var[i, j]) <= 5.0 * se_var[i, j], (i, j, "variance")
 
 
-def test_chunk_size_is_part_of_the_contract():
-    a = simulate(SimConfig(n_pulses=10_000, nu=0.05, channel=HONEST, seed=3, chunk_size=1000))
-    b = simulate(SimConfig(n_pulses=10_000, nu=0.05, channel=HONEST, seed=3, chunk_size=1000))
-    assert np.array_equal(a.counts, b.counts)
+@pytest.mark.parametrize("eve", [None, "masked", "cat"])
+def test_count_sampler_matches_pulse_level_oracle(eve):
+    strategy = {
+        None: None,
+        "masked": solve_eve(HONEST, p_s=0.3935, p_d=1.0).strategy,
+        "cat": cat_attack_eve(),
+    }[eve]
+    n, nu, seeds = 2_000, 0.2, range(240)
+    cfgs = [SimConfig(n_pulses=n, nu=nu, channel=HONEST, eve=strategy, seed=s) for s in seeds]
+    table = cfgs[0].table().matrix
+    counts = np.array([simulate(cfg).counts for cfg in cfgs])
+    pulses = np.array([pulse_level_counts(np.random.default_rng(s), n, nu, table) for s in seeds])
+    assert (counts.sum(axis=(1, 2)) == n).all() and (pulses.sum(axis=(1, 2)) == n).all()
+    _assert_moments_match(counts, n, nu, table)
+    _assert_moments_match(pulses, n, nu, table)
+
+
+def test_realistic_block_size_sums_exactly():
+    n = 10**12
+    stats = simulate(SimConfig(n_pulses=n, nu=0.01, channel=HONEST, seed=8))
+    assert int(stats.counts.sum()) == n
+    assert stats.n_decoys_sent > 0
+
+
+def test_rounding_negative_table_entries_are_clipped(monkeypatch):
+    # the table validation admits -5e-11; multinomial alone would reject this row
+    table = CombinedChannel(np.array([[0.9, 0.1 + 5e-11, -5e-11], [0.01, 0.9, 0.09], [0.5, 0.5, 0.0]]))
+    monkeypatch.setattr(SimConfig, "table", lambda self: table)
+    stats = simulate(SimConfig(n_pulses=10**9, nu=0.1, channel=HONEST, seed=1))
+    assert stats.counts[0, 2] == 0
+    assert int(stats.counts.sum()) == 10**9
 
 
 def _assert_within_4_sigma(stats: SimStats, expected: np.ndarray):
@@ -118,9 +155,9 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(n_pulses=0, nu=0.01, channel=HONEST)
     with pytest.raises(ValueError):
-        SimConfig(n_pulses=10, nu=0.0, channel=HONEST)
+        SimConfig(n_pulses=2**63, nu=0.01, channel=HONEST)
     with pytest.raises(ValueError):
-        SimConfig(n_pulses=10, nu=0.01, channel=HONEST, chunk_size=0)
+        SimConfig(n_pulses=10, nu=0.0, channel=HONEST)
 
 
 def test_stats_consistency():
