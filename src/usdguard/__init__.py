@@ -1,63 +1,12 @@
 """Decoy-state design and attack analysis for two-state phase-coded QKD.
 
-Submodules:
+Submodules (import names from them; the package re-exports nothing):
   states      truncated Fock vectors, overlaps and overlap matrices
   usd         reciprocal-basis geometry and the discrimination optimum
   decoy       cat / squeezed-vacuum decoy design and Delta minimization
   channel     honest and intercepted conditional-probability tables
-  montecarlo  seeded pulse-level simulation and threshold detection
+  montecarlo  seeded sessions drawn as exact outcome counts, threshold detection
   cli         command-line front end
 """
-
-from .channel import (
-    ChannelModel,
-    CombinedChannel,
-    EveSolveResult,
-    EveStrategy,
-    ThresholdVerdict,
-    ab_table,
-    aeb_table,
-    max_loss,
-    solve_eve,
-    threshold_test,
-)
-from .decoy import (
-    DecoyDesign,
-    delta_squeezed,
-    design_cat,
-    design_squeezed,
-    minimize_delta,
-    optimal_alpha,
-)
-from .montecarlo import SimConfig, SimStats, run_experiment, simulate
-from .states import (
-    CrossCheckError,
-    FockVector,
-    GramData,
-    StateKind,
-    StatePrep,
-    TruncationError,
-    cat_prep,
-    coherent_prep,
-    fock_cat,
-    fock_coherent,
-    fock_squeezed_vacuum,
-    gram_from_preps,
-    inner_product,
-    orthogonal_decoy_prep,
-    raw_prep,
-    realize,
-    squeezed_prep,
-)
-from .usd import (
-    UsdGeometry,
-    UsdSolution,
-    build_a0,
-    build_geometry,
-    det_a0_closed,
-    f1,
-    gram_delta,
-    optimize_usd,
-)
 
 __version__ = "0.1.0"

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .tolerances import NUM_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INPUT_LABELS = ("0", "1", "decoy")
 OUTPUT_LABELS = ("0", "1", "inconclusive")
@@ -97,6 +99,8 @@ class CombinedChannel:
     matrix: np.ndarray
 
     def __post_init__(self):
+        import numpy as np  # here, so that max_loss and the models load without numpy
+
         mat = np.asarray(self.matrix, dtype=float)
         if mat.shape != (3, 3):
             raise ValueError("channel table must be 3x3")
@@ -116,13 +120,11 @@ class CombinedChannel:
 def ab_table(m: ChannelModel) -> CombinedChannel:
     """Honest sender-receiver table."""
     return CombinedChannel(
-        np.array(
-            [
-                [m.c, m.e, m.g],
-                [m.e, m.c, m.g],
-                [m.d0, m.d1, 1.0 - m.d],
-            ]
-        )
+        [
+            [m.c, m.e, m.g],
+            [m.e, m.c, m.g],
+            [m.d0, m.d1, 1.0 - m.d],
+        ]
     )
 
 
@@ -146,7 +148,7 @@ def aeb_table(m: ChannelModel, eve: EveStrategy) -> CombinedChannel:
         (1.0 - pe) * m.d1 + pe * pd * eve.d1_e,
         (1.0 - pe) * (1.0 - m.d) + pe * (pd * (1.0 - eve.d_e) + (1.0 - pd)),
     ]
-    return CombinedChannel(np.array([row0, row1, row_d]))
+    return CombinedChannel([row0, row1, row_d])
 
 
 @dataclass(frozen=True)

@@ -12,24 +12,44 @@ analytic outcome (the report is still printed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import math
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import channel as ch
-from . import montecarlo as mc
-from . import states as st
-from . import usd
 from .config import ConfigError, load_config, require_int, require_number
+from .tolerances import N_CUT_MAX
+
+# numpy and the modules built on it (states, usd, montecarlo) are imported
+# inside the commands that compute with them, after the command's config
+# is validated: a config error or a maxloss run never pays for the import.
+if TYPE_CHECKING:
+    from . import states as st
+    from . import usd
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 DECOY_KINDS = ("cat", "squeezed", "orthogonal", "raw")
+
+# Every sweep point's row is held until the CSV is written.
+SWEEP_STEPS_MAX = 10**6
+
+
+@contextlib.contextmanager
+def _as_config_error(field: str, *errors: type[Exception]):
+    """Report a library's ValueError (or one of errors) as a ConfigError naming field."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, *errors) as exc:
+        raise ConfigError(field, str(exc))
 
 
 def _cplx(z: complex) -> dict:
@@ -47,60 +67,48 @@ def _tolerances(cfg: dict) -> dict:
 def _signal_params(cfg: dict) -> tuple[float, float, int]:
     alpha = require_number(cfg, "alpha", lo=0.0)
     phi = require_number(cfg, "phi")
-    n_cut = require_int(cfg, "n_cut", lo=1)
+    n_cut = require_int(cfg, "n_cut", lo=1, hi=N_CUT_MAX)
     return alpha, phi, n_cut
 
 
-def _decoy_prep(cfg: dict, alpha: float, phi: float, n_cut: int) -> st.StatePrep:
-    kind = cfg["decoy"].get("kind")
+def _preps(cfg: dict, alpha: float, phi: float, n_cut: int) -> tuple[st.StatePrep, ...]:
+    """The two signal states and the configured decoy."""
+    decoy = cfg.get("decoy")
+    kind = decoy.get("kind") if isinstance(decoy, dict) else None
     if kind not in DECOY_KINDS:
         raise ConfigError("decoy.kind", f"expected one of {DECOY_KINDS}, got {kind!r}")
+    from . import states as st
+
+    signals = st.coherent_prep(alpha, phi), st.coherent_prep(alpha, phi + math.pi)
     if kind == "cat":
-        return st.cat_prep(alpha, phi)
+        return *signals, st.cat_prep(alpha, phi)
     if kind == "squeezed":
-        return st.squeezed_prep(require_number(cfg, "decoy.r"))
+        return *signals, st.squeezed_prep(require_number(cfg, "decoy.r"))
     if kind == "orthogonal":
-        try:
-            return st.orthogonal_decoy_prep(alpha, phi, n_cut)
-        except ValueError as exc:
-            raise ConfigError("decoy", str(exc))
-    amps = cfg["decoy"].get("amplitudes")
+        with _as_config_error("decoy"):
+            return *signals, st.orthogonal_decoy_prep(alpha, phi, n_cut)
+    amps = decoy.get("amplitudes")
     if not isinstance(amps, list) or len(amps) < 2:
         raise ConfigError("decoy.amplitudes", "raw decoy requires a list of [re, im] pairs")
-    try:
-        vec = np.array([complex(a[0], a[1]) for a in amps])
-        return st.raw_prep(vec)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ConfigError("decoy.amplitudes", str(exc))
+    with _as_config_error("decoy.amplitudes", TypeError, IndexError, OverflowError):
+        return *signals, st.raw_prep([complex(a[0], a[1]) for a in amps])
 
 
-def _gram(cfg: dict, alpha: float, phi: float, n_cut: int, tols: dict) -> st.GramData:
-    decoy = _decoy_prep(cfg, alpha, phi, n_cut)
-    try:
-        return st.gram_from_preps(
-            st.coherent_prep(alpha, phi),
-            st.coherent_prep(alpha, phi + math.pi),
-            decoy,
-            n_cut=n_cut,
-            tail_tol=tols["tail_tol"],
-            num_tol=tols["num_tol"],
-        )
-    except (st.CrossCheckError, st.TruncationError, ValueError) as exc:
-        raise ConfigError("decoy", str(exc))
+def _gram(preps: tuple[st.StatePrep, ...], n_cut: int, tols: dict) -> st.GramData:
+    from . import states as st
+
+    with _as_config_error("decoy", st.CrossCheckError, st.TruncationError):
+        return st.gram_from_preps(*preps, n_cut=n_cut, tail_tol=tols["tail_tol"], num_tol=tols["num_tol"])
 
 
 def _channel(cfg: dict) -> ch.ChannelModel:
-    try:
+    with _as_config_error("channel"):
         return ch.ChannelModel(
             g=require_number(cfg, "channel.g", 0.0, 1.0),
             e=require_number(cfg, "channel.e", 0.0, 1.0),
             d0=require_number(cfg, "channel.d0", 0.0, 1.0),
             d1=require_number(cfg, "channel.d1", 0.0, 1.0),
         )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("channel", str(exc))
 
 
 def _eve_strategy(cfg: dict, model: ch.ChannelModel) -> ch.EveStrategy | None:
@@ -109,7 +117,7 @@ def _eve_strategy(cfg: dict, model: ch.ChannelModel) -> ch.EveStrategy | None:
         return None
     if not isinstance(eve_cfg, dict):
         raise ConfigError("eve", "expected an object or null")
-    try:
+    with _as_config_error("eve"):
         if eve_cfg.get("solve"):
             result = ch.solve_eve(
                 model,
@@ -118,17 +126,8 @@ def _eve_strategy(cfg: dict, model: ch.ChannelModel) -> ch.EveStrategy | None:
             )
             if not result.feasible:
                 raise ConfigError("eve", "; ".join(result.violations))
-            p_e = eve_cfg.get("p_e", 1.0)
-            strat = result.strategy
-            return ch.EveStrategy(
-                p_e=float(p_e),
-                p_s=strat.p_s,
-                p_d=strat.p_d,
-                g_e=strat.g_e,
-                e_e=strat.e_e,
-                d0_e=strat.d0_e,
-                d1_e=strat.d1_e,
-            )
+            p_e = require_number(cfg, "eve.p_e", 0.0, 1.0) if "p_e" in eve_cfg else 1.0
+            return dataclasses.replace(result.strategy, p_e=p_e)
         return ch.EveStrategy(
             p_e=require_number(cfg, "eve.p_e", 0.0, 1.0),
             p_s=require_number(cfg, "eve.p_s", 0.0, 1.0),
@@ -138,13 +137,9 @@ def _eve_strategy(cfg: dict, model: ch.ChannelModel) -> ch.EveStrategy | None:
             d0_e=require_number(cfg, "eve.d0_e", 0.0, 1.0),
             d1_e=require_number(cfg, "eve.d1_e", 0.0, 1.0),
         )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("eve", str(exc))
 
 
-def _sweep_values(cfg: dict, allowed: tuple[str, ...]) -> tuple[str, np.ndarray] | None:
+def _sweep_values(cfg: dict, allowed: tuple[str, ...]) -> tuple[str, list[float]] | None:
     sweep = cfg.get("sweep")
     if sweep is None:
         return None
@@ -155,8 +150,13 @@ def _sweep_values(cfg: dict, allowed: tuple[str, ...]) -> tuple[str, np.ndarray]
         raise ConfigError("sweep.param", f"expected one of {allowed}, got {param!r}")
     start = require_number(cfg, "sweep.start")
     stop = require_number(cfg, "sweep.stop")
-    steps = require_int(cfg, "sweep.steps", lo=2)
-    return param, np.linspace(start, stop, steps)
+    steps = require_int(cfg, "sweep.steps", lo=2, hi=SWEEP_STEPS_MAX)
+    # np.linspace(start, stop, steps), point for point in numpy's own arithmetic
+    delta = stop - start
+    step = delta / (steps - 1)
+    if step == 0.0:  # numpy scales by i / (steps - 1) when the step underflows
+        return param, [i / (steps - 1) * delta + start for i in range(steps - 1)] + [stop]
+    return param, [i * step + start for i in range(steps - 1)] + [stop]
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -181,15 +181,10 @@ def _overlap_entry(numeric: complex, analytic: complex | None) -> dict:
 def cmd_overlaps(cfg: dict) -> int:
     alpha, phi, n_cut = _signal_params(cfg)
     tols = _tolerances(cfg)
-    decoy = _decoy_prep(cfg, alpha, phi, n_cut)
-    u1 = st.coherent_prep(alpha, phi)
-    u2 = st.coherent_prep(alpha, phi + math.pi)
-    try:
-        gram = st.gram_from_preps(
-            u1, u2, decoy, n_cut=n_cut, tail_tol=tols["tail_tol"], num_tol=tols["num_tol"]
-        )
-    except (st.CrossCheckError, st.TruncationError, ValueError) as exc:
-        raise ConfigError("decoy", str(exc))
+    preps = u1, u2, decoy = _preps(cfg, alpha, phi, n_cut)
+    gram = _gram(preps, n_cut, tols)
+    from . import states as st
+
     result = {
         "n_cut": n_cut,
         "gram": {
@@ -211,21 +206,24 @@ def _nu(cfg: dict) -> float:
 
 
 def _optimize(gram: st.GramData, nu: float, tols: dict) -> usd.UsdSolution:
-    try:
+    from . import usd
+
+    with _as_config_error("decoy"):  # the optimizer needs equal decoy overlaps
         return usd.optimize_usd(gram, nu, tols["num_tol"], tols["degeneracy_tol"])
-    except ValueError as exc:  # the optimizer needs equal decoy overlaps
-        raise ConfigError("decoy", str(exc))
 
 
 def _solve_point(cfg: dict, alpha: float, phi: float, n_cut: int, tols: dict) -> usd.UsdSolution:
-    return _optimize(_gram(cfg, alpha, phi, n_cut, tols), _nu(cfg), tols)
+    nu = _nu(cfg)
+    return _optimize(_gram(_preps(cfg, alpha, phi, n_cut), n_cut, tols), nu, tols)
 
 
 def cmd_usd(cfg: dict, csv_path: str | None) -> int:
     alpha, phi, n_cut = _signal_params(cfg)
     tols = _tolerances(cfg)
     nu = _nu(cfg)
-    gram = _gram(cfg, alpha, phi, n_cut, tols)
+    gram = _gram(_preps(cfg, alpha, phi, n_cut), n_cut, tols)
+    from . import usd
+
     geom = usd.build_geometry(gram, tols["num_tol"], tols["degeneracy_tol"])
     solution = _optimize(gram, nu, tols)
 
@@ -239,29 +237,21 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
         for value in values:
             point_cfg = json.loads(json.dumps(cfg))
             if param == "alpha":
-                point_cfg["alpha"] = float(value)
-                sol = _solve_point(point_cfg, float(value), phi, n_cut, tols)
+                point_cfg["alpha"] = value
+                sol = _solve_point(point_cfg, value, phi, n_cut, tols)
             else:
                 if cfg["decoy"].get("kind") != "squeezed":
                     raise ConfigError("sweep.param", "r sweeps require a squeezed decoy")
-                point_cfg["decoy"]["r"] = float(value)
+                point_cfg["decoy"]["r"] = value
                 sol = _solve_point(point_cfg, alpha, phi, n_cut, tols)
-            rows.append([float(value), sol.p_s, sol.p_d, sol.p0])
+            rows.append([value, sol.p_s, sol.p_d, sol.p0])
         _write_csv(csv_path, [param, "p_s", "p_d", "p0"], rows)
         sweep_info = {"param": param, "points": len(rows), "csv": csv_path}
 
     result = {
         "gram": {"s12": _cplx(gram.s12), "s13": _cplx(gram.s13), "s23": _cplx(gram.s23)},
         "geometry": {"l": geom.l, "m": geom.m, "degenerate": geom.degenerate},
-        "solution": {
-            "p_s": solution.p_s,
-            "p_d": solution.p_d,
-            "p0": solution.p0,
-            "min_eig_a0": solution.min_eig_a0,
-            "on_det_zero": solution.on_det_zero,
-            "degenerate": solution.degenerate,
-            "nu": solution.nu,
-        },
+        "solution": dataclasses.asdict(solution),
         "sweep": sweep_info,
     }
     _emit({"command": "usd", "inputs": _echo_inputs(cfg), "result": result})
@@ -281,17 +271,15 @@ def cmd_eve(cfg: dict) -> int:
         solution = _solve_point(cfg, alpha, phi, n_cut, tols)
         p_s, p_d = solution.p_s, solution.p_d
         source = "usd"
-    try:
+    with _as_config_error("channel"):
         solve = ch.solve_eve(model, p_s, p_d)
-    except ValueError as exc:
-        raise ConfigError("channel", str(exc))
 
     honest = ch.ab_table(model)
     attacked = None
     masking = None
     if solve.feasible:
         attacked = ch.aeb_table(model, solve.strategy)
-        masking = float(np.abs(attacked.matrix - honest.matrix).max())
+        masking = float(abs(attacked.matrix - honest.matrix).max())
     result = {
         "p_s": p_s,
         "p_d": p_d,
@@ -304,17 +292,7 @@ def cmd_eve(cfg: dict) -> int:
             "d_e": solve.d_e,
             "violations": list(solve.violations),
         },
-        "strategy": None
-        if solve.strategy is None
-        else {
-            "p_e": solve.strategy.p_e,
-            "p_s": solve.strategy.p_s,
-            "p_d": solve.strategy.p_d,
-            "g_e": solve.strategy.g_e,
-            "e_e": solve.strategy.e_e,
-            "d0_e": solve.strategy.d0_e,
-            "d1_e": solve.strategy.d1_e,
-        },
+        "strategy": None if solve.strategy is None else dataclasses.asdict(solve.strategy),
         "honest_table": honest.as_dict(),
         "attacked_table": None if attacked is None else attacked.as_dict(),
         "masking_max_abs_diff": masking,
@@ -331,32 +309,18 @@ def cmd_eve(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     model = _channel(cfg)
     eve = _eve_strategy(cfg, model)
-    try:
-        sim_cfg = mc.SimConfig(
-            n_pulses=require_int(cfg, "simulation.n_pulses", lo=1),
-            nu=_nu(cfg),
-            channel=model,
-            eve=eve,
-            seed=require_int(cfg, "simulation.seed", lo=0),
-        )
-        z = require_number(cfg, "simulation.z", lo=0.0)
+    n_pulses = require_int(cfg, "simulation.n_pulses", lo=1)
+    nu = _nu(cfg)
+    seed = require_int(cfg, "simulation.seed", lo=0)
+    z = require_number(cfg, "simulation.z", lo=0.0)
+    from . import montecarlo as mc
+
+    with _as_config_error("simulation"):
+        sim_cfg = mc.SimConfig(n_pulses=n_pulses, nu=nu, channel=model, eve=eve, seed=seed)
         verdict, stats = mc.run_experiment(sim_cfg, z)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError("simulation", str(exc))
     result = {
         "stats": stats.to_dict(),
-        "verdict": {
-            "n": verdict.n,
-            "n_d": verdict.n_d,
-            "z": verdict.z,
-            "lower_attack_bound": verdict.lower_attack_bound,
-            "upper_honest_bound": verdict.upper_honest_bound,
-            "bounds_separated": verdict.bounds_separated,
-            "attack_detected": verdict.attack_detected,
-            "confidence": verdict.confidence,
-        },
+        "verdict": {**dataclasses.asdict(verdict), "confidence": verdict.confidence},
     }
     _emit({"command": "simulate", "inputs": _echo_inputs(cfg), "result": result})
     return EXIT_OK
@@ -376,18 +340,14 @@ def cmd_maxloss(cfg: dict, csv_path: str | None) -> int:
             raise ConfigError("--csv", "sweep output needs a CSV path")
         rows = []
         for value in values:
-            try:
-                loss = ch.max_loss(float(value), eta_b, eta_d, p_d)
-            except ValueError as exc:
-                raise ConfigError("sweep", str(exc))
-            rows.append([float(value), "" if loss is None else loss, loss is not None])
+            with _as_config_error("sweep"):
+                loss = ch.max_loss(value, eta_b, eta_d, p_d)
+            rows.append([value, "" if loss is None else loss, loss is not None])
         _write_csv(csv_path, ["mu", "max_loss_db", "feasible"], rows)
         sweep_info = {"param": "mu", "points": len(rows), "csv": csv_path}
 
-    try:
+    with _as_config_error("loss"):
         loss = ch.max_loss(mu, eta_b, eta_d, p_d)
-    except ValueError as exc:
-        raise ConfigError("loss", str(exc))
     result = {
         "mu": mu,
         "eta_b": eta_b,

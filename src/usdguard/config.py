@@ -51,7 +51,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 def _parse_set_value(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # also an integer of more digits than int() converts
         return text  # bare words (e.g. decoy kinds) are strings
 
 
@@ -79,7 +79,7 @@ def load_config(
             loaded = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError("config", f"file not found: {path}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError("config", f"invalid JSON in {path}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config", "top-level value must be an object")
@@ -89,10 +89,12 @@ def load_config(
             raise ConfigError("--set", f"expected key=value, got {item!r}")
         key, _, value = item.partition("=")
         _apply_set(cfg, key.strip(), _parse_set_value(value.strip()))
-    if seed is not None:
-        cfg["simulation"]["seed"] = seed
-    _reject_non_finite(cfg, "")
     simulation = cfg.get("simulation")
+    if seed is not None:
+        if not isinstance(simulation, dict):
+            raise ConfigError("simulation", f"expected an object to take --seed, got {simulation!r}")
+        simulation["seed"] = seed
+    _reject_non_finite(cfg, "")
     if isinstance(simulation, dict) and "chunk_size" in simulation:
         raise ConfigError("simulation.chunk_size", "removed: sessions are drawn as exact counts")
     return cfg
@@ -113,21 +115,27 @@ def require_number(cfg: dict, field: str, lo: float | None = None, hi: float | N
     value = _lookup(cfg, field)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(field, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(field, "integer beyond float range")
+    if not math.isfinite(number):
         raise ConfigError(field, f"must be finite, got {value}")
-    if lo is not None and value < lo:
+    if lo is not None and number < lo:
         raise ConfigError(field, f"must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
+    if hi is not None and number > hi:
         raise ConfigError(field, f"must be <= {hi}, got {value}")
-    return float(value)
+    return number
 
 
-def require_int(cfg: dict, field: str, lo: int | None = None) -> int:
+def require_int(cfg: dict, field: str, lo: int | None = None, hi: int | None = None) -> int:
     value = _lookup(cfg, field)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(field, f"expected an integer, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigError(field, f"must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ConfigError(field, f"must be <= {hi}, got {value}")
     return value
 
 

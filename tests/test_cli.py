@@ -9,9 +9,11 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from usdguard.cli import main
+from usdguard.cli import SWEEP_STEPS_MAX, _sweep_values, main
+from usdguard.tolerances import N_CUT_MAX
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "schema" / "report.schema.json").read_text())
@@ -260,11 +262,88 @@ def test_removed_chunk_size_rejected(capsys, tmp_path):
         assert "simulation.chunk_size" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_numpy_random_unloaded():
-    # only simulate needs numpy.random; importing it costs every other command memory and time
-    code = "import sys, usdguard.cli; print('numpy.random' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+def test_raw_decoy_amplitude_beyond_float_range_exit_2(capsys):
+    code = main(["usd", "--set", "decoy.kind=raw", "--set", f"decoy.amplitudes=[[{10**400}, 0], [1, 0]]"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "decoy.amplitudes" in err and "Traceback" not in err
+
+
+def test_config_file_with_unconvertible_integer_exit_2(capsys, tmp_path):
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"alpha": ' + "1" * 5000 + "}")
+    assert main(["usd", "--config", str(cfg)]) == 2
+    assert "config: invalid JSON" in capsys.readouterr().err
+
+
+def _child(code: str, *args: str) -> str:
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")}, cwd=REPO,
     ).stdout
-    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["usdguard", "usdguard.cli"])
+def test_cold_import_leaves_numpy_unloaded(module):
+    # importing numpy costs every command ~0.1 s before argparse runs
+    assert _child(f"import sys, {module}; print('numpy' in sys.modules)").strip() == "False"
+
+
+_NO_NUMPY_CHILD = """
+import contextlib, io, json, sys
+from usdguard.cli import main
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, "numpy" in sys.modules, err.getvalue()]))
+"""
+
+MU_SWEEP = 'sweep={"param": "mu", "start": 0.05, "stop": 1.0, "steps": 20}'
+
+
+NO_NUMPY_CASES = [
+    ("maxloss", ["maxloss"], 0, None),
+    ("maxloss-infeasible", ["maxloss", "--set", "loss.p_d=0.2"], 3, None),
+    ("maxloss-mu-sweep", ["maxloss", "--set", MU_SWEEP, "--csv", "{tmp}/loss.csv"], 0, None),
+    ("alpha-nan", ["usd", "--set", "alpha=NaN"], 2, "alpha"),
+    ("nu-0", ["usd", "--set", "nu=0"], 2, "nu"),
+    ("decoy-kind-bogus", ["usd", "--set", "decoy.kind=bogus"], 2, "decoy.kind"),
+    ("decoy-not-an-object", ["usd", "--set", "decoy=5"], 2, "decoy.kind"),
+    ("config-missing", ["usd", "--config", "/nonexistent/cfg.json"], 2, "config"),
+    ("eve-nu-1.5", ["eve", "--set", "nu=1.5"], 2, "nu"),
+    ("n-pulses-0", ["simulate", "--set", "simulation.n_pulses=0"], 2, "simulation.n_pulses"),
+    ("seed-on-non-object-simulation", ["simulate", "--set", "simulation=5", "--seed", "3"], 2, "simulation"),
+    ("eve-p-e-list", ["simulate", "--set", 'eve={"solve": true, "p_s": 0.5, "p_d": 0.5, "p_e": [1]}'], 2, "eve.p_e"),
+    ("mu-negative", ["maxloss", "--set", "loss.mu=-1"], 2, "loss"),
+    ("alpha-401-digits", ["usd", "--set", f"alpha={10**400}"], 2, "alpha"),
+    ("mu-401-digits", ["maxloss", "--set", f"loss.mu={10**400}"], 2, "loss.mu"),
+    ("mu-5000-digits", ["maxloss", "--set", "loss.mu=" + "1" * 5000], 2, "loss.mu"),
+    ("n-cut-1e11", ["overlaps", "--set", f"n_cut={10**11}"], 2, "n_cut"),
+    ("n-cut-max-plus-1", ["overlaps", "--set", f"n_cut={N_CUT_MAX + 1}"], 2, "n_cut"),
+    (
+        "sweep-steps-max-plus-1",
+        ["maxloss", "--set", MU_SWEEP.replace("20}", f"{SWEEP_STEPS_MAX + 1}}}"), "--csv", "{tmp}/x.csv"],
+        2,
+        "sweep.steps",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expect, field", [pytest.param(*case, id=name) for name, *case in NO_NUMPY_CASES])
+def test_config_errors_and_maxloss_never_load_numpy(tmp_path, argv, expect, field):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, numpy_loaded, err = json.loads(_child(_NO_NUMPY_CHILD, json.dumps(argv)).splitlines()[-1])
+    assert (code, numpy_loaded) == (expect, False)
+    assert "Traceback" not in err
+    if field is not None:
+        assert err.startswith(f"config error: {field}")
+
+
+@pytest.mark.parametrize(
+    "start, stop, steps",
+    [(0.05, 1.0, 20), (0.0, 1.0, 2), (1.0, 0.3, 13), (-3.7, 11.1, 101), (0.1, 0.1, 5), (1e-300, -2.5e-301, 7), (0.0, 5e-324, 4)],
+)
+def test_sweep_grid_is_linspace_bit_for_bit(start, stop, steps):
+    cfg = {"sweep": {"param": "mu", "start": start, "stop": stop, "steps": steps}}
+    _, values = _sweep_values(cfg, ("mu",))
+    assert [v.hex() for v in values] == [v.hex() for v in np.linspace(start, stop, steps).tolist()]
