@@ -313,7 +313,8 @@ NO_NUMPY_CASES = [
     ("eve-nu-1.5", ["eve", "--set", "nu=1.5"], 2, "nu"),
     ("n-pulses-0", ["simulate", "--set", "simulation.n_pulses=0"], 2, "simulation.n_pulses"),
     ("seed-on-non-object-simulation", ["simulate", "--set", "simulation=5", "--seed", "3"], 2, "simulation"),
-    ("eve-p-e-list", ["simulate", "--set", 'eve={"solve": true, "p_s": 0.5, "p_d": 0.5, "p_e": [1]}'], 2, "eve.p_e"),
+    ("eve-p-e-list", ["simulate", "--set", 'eve={"solve": true, "p_s": 0.5, "p_d": 0.5, "p_e": [1]}'],
+     2, "eve.p_e"),
     ("mu-negative", ["maxloss", "--set", "loss.mu=-1"], 2, "loss"),
     ("alpha-401-digits", ["usd", "--set", f"alpha={10**400}"], 2, "alpha"),
     ("mu-401-digits", ["maxloss", "--set", f"loss.mu={10**400}"], 2, "loss.mu"),
@@ -322,7 +323,7 @@ NO_NUMPY_CASES = [
     ("n-cut-max-plus-1", ["overlaps", "--set", f"n_cut={N_CUT_MAX + 1}"], 2, "n_cut"),
     (
         "sweep-steps-max-plus-1",
-        ["maxloss", "--set", MU_SWEEP.replace("20}", f"{SWEEP_STEPS_MAX + 1}}}"), "--csv", "{tmp}/x.csv"],
+        ["maxloss", "--set", MU_SWEEP.replace('"steps": 20', f'"steps": {SWEEP_STEPS_MAX + 1}'), "--csv", "{tmp}/x.csv"],
         2,
         "sweep.steps",
     ),
@@ -341,7 +342,11 @@ def test_config_errors_and_maxloss_never_load_numpy(tmp_path, argv, expect, fiel
 
 @pytest.mark.parametrize(
     "start, stop, steps",
-    [(0.05, 1.0, 20), (0.0, 1.0, 2), (1.0, 0.3, 13), (-3.7, 11.1, 101), (0.1, 0.1, 5), (1e-300, -2.5e-301, 7), (0.0, 5e-324, 4)],
+    [
+        (0.05, 1.0, 20), (0.0, 1.0, 2), (1.0, 0.3, 13), (-3.7, 11.1, 101), (0.1, 0.1, 5),
+        (1e-300, -2.5e-301, 7),
+        (0.0, 5e-324, 4),  # the step underflows to 0: numpy scales by i / (steps - 1) instead
+    ],
 )
 def test_sweep_grid_is_linspace_bit_for_bit(start, stop, steps):
     cfg = {"sweep": {"param": "mu", "start": start, "stop": stop, "steps": steps}}
