@@ -60,7 +60,6 @@ def _tolerances(cfg: dict) -> dict:
     return {
         "num_tol": require_number(cfg, "tolerances.num_tol", lo=0.0),
         "tail_tol": require_number(cfg, "tolerances.tail_tol", lo=0.0),
-        "degeneracy_tol": require_number(cfg, "tolerances.degeneracy_tol", lo=0.0),
     }
 
 
@@ -71,23 +70,30 @@ def _signal_params(cfg: dict) -> tuple[float, float, int]:
     return alpha, phi, n_cut
 
 
-def _preps(cfg: dict, alpha: float, phi: float, n_cut: int) -> tuple[st.StatePrep, ...]:
-    """The two signal states and the configured decoy."""
+def _decoy_kind(cfg: dict) -> str:
     decoy = cfg.get("decoy")
     kind = decoy.get("kind") if isinstance(decoy, dict) else None
     if kind not in DECOY_KINDS:
         raise ConfigError("decoy.kind", f"expected one of {DECOY_KINDS}, got {kind!r}")
+    return kind
+
+
+def _preps(cfg: dict, alpha: float, phi: float, n_cut: int) -> tuple[st.StatePrep, ...]:
+    """The two signal states and the configured decoy."""
+    kind = _decoy_kind(cfg)
     from . import states as st
 
-    signals = st.coherent_prep(alpha, phi), st.coherent_prep(alpha, phi + math.pi)
+    with _as_config_error("alpha"):
+        signals = st.coherent_prep(alpha, phi), st.coherent_prep(alpha, phi + math.pi)
     if kind == "cat":
         return *signals, st.cat_prep(alpha, phi)
     if kind == "squeezed":
-        return *signals, st.squeezed_prep(require_number(cfg, "decoy.r"))
+        with _as_config_error("decoy.r"):
+            return *signals, st.squeezed_prep(require_number(cfg, "decoy.r"))
     if kind == "orthogonal":
-        with _as_config_error("decoy"):
+        with _as_config_error("decoy", st.TruncationError):
             return *signals, st.orthogonal_decoy_prep(alpha, phi, n_cut)
-    amps = decoy.get("amplitudes")
+    amps = cfg["decoy"].get("amplitudes")
     if not isinstance(amps, list) or len(amps) < 2:
         raise ConfigError("decoy.amplitudes", "raw decoy requires a list of [re, im] pairs")
     with _as_config_error("decoy.amplitudes", TypeError, IndexError, OverflowError):
@@ -97,7 +103,7 @@ def _preps(cfg: dict, alpha: float, phi: float, n_cut: int) -> tuple[st.StatePre
 def _gram(preps: tuple[st.StatePrep, ...], n_cut: int, tols: dict) -> st.GramData:
     from . import states as st
 
-    with _as_config_error("decoy", st.CrossCheckError, st.TruncationError):
+    with _as_config_error("decoy", st.TruncationError):
         return st.gram_from_preps(*preps, n_cut=n_cut, tail_tol=tols["tail_tol"], num_tol=tols["num_tol"])
 
 
@@ -181,16 +187,18 @@ def _overlap_entry(numeric: complex, analytic: complex | None) -> dict:
 def cmd_overlaps(cfg: dict) -> int:
     alpha, phi, n_cut = _signal_params(cfg)
     tols = _tolerances(cfg)
-    preps = u1, u2, decoy = _preps(cfg, alpha, phi, n_cut)
+    preps = _preps(cfg, alpha, phi, n_cut)
     gram = _gram(preps, n_cut, tols)
     from . import states as st
 
+    # the numeric column is the independent Fock-space check of the closed forms
+    with _as_config_error("decoy", st.TruncationError):
+        vecs = [st.realize(p, n_cut=n_cut, tail_tol=tols["tail_tol"]) for p in preps]
     result = {
-        "n_cut": n_cut,
+        "n_cut": max(v.n_cut for v in vecs),
         "gram": {
-            "s12": _overlap_entry(gram.s12, st.closed_overlap(u1, u2)),
-            "s13": _overlap_entry(gram.s13, st.closed_overlap(u1, decoy)),
-            "s23": _overlap_entry(gram.s23, st.closed_overlap(u2, decoy)),
+            key: _overlap_entry(st.inner_product(vecs[i], vecs[j]), st.closed_overlap(preps[i], preps[j]))
+            for key, (i, j) in st.GRAM_PAIRS.items()
         },
         "symmetric": gram.is_symmetric(),
     }
@@ -209,7 +217,7 @@ def _optimize(gram: st.GramData, nu: float, tols: dict) -> usd.UsdSolution:
     from . import usd
 
     with _as_config_error("decoy"):  # the optimizer needs equal decoy overlaps
-        return usd.optimize_usd(gram, nu, tols["num_tol"], tols["degeneracy_tol"])
+        return usd.optimize_usd(gram, nu, tols["num_tol"])
 
 
 def _solve_point(cfg: dict, alpha: float, phi: float, n_cut: int, tols: dict) -> usd.UsdSolution:
@@ -221,18 +229,21 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
     alpha, phi, n_cut = _signal_params(cfg)
     tols = _tolerances(cfg)
     nu = _nu(cfg)
+    sweep = _sweep_values(cfg, ("alpha", "r"))
+    if sweep is not None:
+        if csv_path is None:
+            raise ConfigError("--csv", "sweep output needs a CSV path")
+        if sweep[0] == "r" and _decoy_kind(cfg) != "squeezed":
+            raise ConfigError("sweep.param", "r sweeps require a squeezed decoy")
     gram = _gram(_preps(cfg, alpha, phi, n_cut), n_cut, tols)
     from . import usd
 
-    geom = usd.build_geometry(gram, tols["num_tol"], tols["degeneracy_tol"])
+    geom = usd.build_geometry(gram, tols["num_tol"])
     solution = _optimize(gram, nu, tols)
 
     sweep_info = None
-    sweep = _sweep_values(cfg, ("alpha", "r"))
     if sweep is not None:
         param, values = sweep
-        if csv_path is None:
-            raise ConfigError("--csv", "sweep output needs a CSV path")
         rows = []
         for value in values:
             point_cfg = json.loads(json.dumps(cfg))
@@ -240,8 +251,6 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
                 point_cfg["alpha"] = value
                 sol = _solve_point(point_cfg, value, phi, n_cut, tols)
             else:
-                if cfg["decoy"].get("kind") != "squeezed":
-                    raise ConfigError("sweep.param", "r sweeps require a squeezed decoy")
                 point_cfg["decoy"]["r"] = value
                 sol = _solve_point(point_cfg, alpha, phi, n_cut, tols)
             rows.append([value, sol.p_s, sol.p_d, sol.p0])

@@ -34,7 +34,13 @@ DEFAULTS: dict[str, Any] = {
     "simulation": {"n_pulses": 100000, "seed": 1, "z": 5.0},
     "loss": {"mu": 0.5, "eta_b": 0.5, "eta_d": 0.2, "p_d": 0.01},
     "sweep": None,
-    "tolerances": {"num_tol": 1e-10, "tail_tol": 1e-12, "degeneracy_tol": 1e-8},
+    "tolerances": {"num_tol": 1e-10, "tail_tol": 1e-12},
+}
+
+# Fields that older configs may still give, each with why it went.
+REMOVED = {
+    "simulation.chunk_size": "removed: sessions are drawn as exact counts",
+    "tolerances.degeneracy_tol": "removed: a Gram minor below the determinant floor is zero",
 }
 
 
@@ -95,8 +101,10 @@ def load_config(
             raise ConfigError("simulation", f"expected an object to take --seed, got {simulation!r}")
         simulation["seed"] = seed
     _reject_non_finite(cfg, "")
-    if isinstance(simulation, dict) and "chunk_size" in simulation:
-        raise ConfigError("simulation.chunk_size", "removed: sessions are drawn as exact counts")
+    for field, why in REMOVED.items():
+        section, key = field.split(".")
+        if isinstance(cfg.get(section), dict) and key in cfg[section]:
+            raise ConfigError(field, why)
     return cfg
 
 

@@ -8,8 +8,10 @@ measured by
     Delta(alpha, r) = 1 + exp(-2 alpha^2)
                       - (2 / cosh r) exp(-alpha^2 (1 - tanh r)),
 
-which this module minimizes over r (fixed alpha) and provides the
-stationary-alpha relation for (fixed r).
+whose minimiser over r (fixed alpha) is r* = asinh(2 alpha^2) / 2; the
+module also gives the stationary-alpha relation for fixed r.  Every
+quantity here is a closed form: the overlaps, Delta, M and the decoys'
+mean photon numbers.
 """
 
 from __future__ import annotations
@@ -17,30 +19,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .golden import golden_min
-from .states import (
-    GramData,
-    StatePrep,
-    cat_prep,
-    coherent_prep,
-    gram_from_preps,
-    realize,
-    squeezed_prep,
-)
-from .tolerances import DEGENERACY_TOL, TAIL_TOL
+from .states import GramData, StatePrep, cat_prep, coherent_prep, gram_from_preps, squeezed_prep
 from .usd import gram_delta, gram_det
-
-R_SEARCH_MAX = 5.0  # beyond this the decoy intensity is impractical and
-# the truncation guard in the state builder dominates
 
 
 @dataclass(frozen=True)
 class DecoyDesign:
     """A decoy prep with its discrimination diagnostics.
 
-    delta and m_value come from the same overlap data; usd_disabled is
-    the degeneracy verdict (m below tolerance), and mu is the decoy's
-    mean photon number computed from its Fock vector.
+    delta and m_value come from the same closed-form overlap data;
+    usd_disabled is the degeneracy verdict (M clamped to zero by the
+    Gram-determinant floor), and mu is the decoy's mean photon number.
     """
 
     prep: StatePrep
@@ -51,51 +40,37 @@ class DecoyDesign:
     usd_disabled: bool
 
 
-def _design(
-    decoy: StatePrep,
-    alpha: float,
-    phi: float,
-    n_cut: int,
-    tail_tol: float,
-    degeneracy_tol: float,
-) -> DecoyDesign:
+def _design(decoy: StatePrep, alpha: float, phi: float, mu: float) -> DecoyDesign:
     if not alpha > 0.0:
         raise ValueError("alpha must be > 0: zero-amplitude signals make the protocol vacuous")
     u1 = coherent_prep(alpha, phi)
     u2 = coherent_prep(alpha, phi + math.pi)
-    gram = gram_from_preps(u1, u2, decoy, n_cut=n_cut, tail_tol=tail_tol)
+    gram = gram_from_preps(u1, u2, decoy)
     m_value = math.sqrt(gram_det(gram))
     return DecoyDesign(
         prep=decoy,
         gram=gram,
         delta=gram_delta(gram),
         m_value=m_value,
-        mu=realize(decoy, n_cut=n_cut, tail_tol=tail_tol).mean_photon_number(),
-        usd_disabled=m_value < degeneracy_tol,
+        mu=mu,
+        usd_disabled=m_value == 0.0,
     )
 
 
-def design_cat(
-    alpha: float,
-    phi: float = 0.0,
-    n_cut: int = 64,
-    tail_tol: float = TAIL_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> DecoyDesign:
-    """Even-cat decoy for signal amplitude alpha: disables discrimination exactly."""
-    return _design(cat_prep(alpha, phi), alpha, phi, n_cut, tail_tol, degeneracy_tol)
+def design_cat(alpha: float, phi: float = 0.0) -> DecoyDesign:
+    """Even-cat decoy for signal amplitude alpha: disables discrimination exactly.
+
+    Its mean photon number is alpha^2 tanh(alpha^2).
+    """
+    return _design(cat_prep(alpha, phi), alpha, phi, alpha * alpha * math.tanh(alpha * alpha))
 
 
-def design_squeezed(
-    alpha: float,
-    r: float,
-    phi: float = 0.0,
-    n_cut: int = 64,
-    tail_tol: float = TAIL_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> DecoyDesign:
-    """Squeezed-vacuum decoy |0, r> against signals of amplitude alpha."""
-    return _design(squeezed_prep(r), alpha, phi, n_cut, tail_tol, degeneracy_tol)
+def design_squeezed(alpha: float, r: float, phi: float = 0.0) -> DecoyDesign:
+    """Squeezed-vacuum decoy |0, r> against signals of amplitude alpha.
+
+    Its mean photon number is sinh^2(r).
+    """
+    return _design(squeezed_prep(r), alpha, phi, math.sinh(r) ** 2)
 
 
 def delta_squeezed(alpha: float, r: float) -> float:
@@ -119,13 +94,13 @@ def optimal_alpha(r: float) -> float:
     return math.sqrt(math.exp(-r) * math.cosh(r) * math.log(arg))
 
 
-def minimize_delta(alpha: float, tol: float = 1e-10) -> tuple[float, float]:
+def minimize_delta(alpha: float) -> tuple[float, float]:
     """Squeezing parameter minimizing Delta at fixed alpha, with the minimum.
 
-    Bracketed golden-section over r in [0, 5]; Delta is unimodal in r
-    (stationary point at sinh(2r) = 2 alpha^2).
+    Delta is unimodal in r with its stationary point at sinh(2r) = 2 alpha^2,
+    so r* = asinh(2 alpha^2) / 2.
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be > 0")
-    r, delta = golden_min(lambda r_: delta_squeezed(alpha, r_), 0.0, R_SEARCH_MAX, tol)
-    return r, delta
+    r = 0.5 * math.asinh(2.0 * alpha * alpha)
+    return r, delta_squeezed(alpha, r)

@@ -1,4 +1,4 @@
-"""1-D search utilities: golden-section extremization and edge bisection.
+"""1-D search utilities: golden-section maximization and edge bisection.
 
 The objectives here are smooth except for feasibility cliffs, where they
 return -inf; golden-section comparisons against -inf shrink toward the
@@ -48,16 +48,6 @@ def golden_max(
         if fx > best_f or (fx == best_f and x > best_x):
             best_x, best_f = x, fx
     return best_x, best_f
-
-
-def golden_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    x, neg = golden_max(lambda t: -f(t), lo, hi, tol)
-    return x, -neg
 
 
 def sampled_golden_max(

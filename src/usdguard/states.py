@@ -3,9 +3,10 @@
 The two signal states are weak coherent pulses |alpha e^{i phi}> and
 |-alpha e^{i phi}>; the decoy is either an even (Schroedinger-cat)
 superposition of the two, a squeezed vacuum |0, r>, or a raw amplitude
-vector.  Overlaps are available both as Fock-space inner products and,
-for the standard state pairs, as closed forms; the two paths are
-cross-checked whenever both exist.
+vector.  Every overlap between coherent, cat and squeezed states has a
+closed form, and the Gram matrix is built from those; truncated Fock
+vectors are realized only where no closed form exists (a raw decoy) and
+as the independent check that the `overlaps` report and the tests make.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import numpy as np
 
 from .tolerances import N_CUT_MAX, NUM_TOL, TAIL_TOL
 
+# Squeezing beyond this (~1.2e8 mean photons) is outside the model's
+# domain; it also bounds the Fock series that a squeezed vacuum needs.
+R_MAX = 10.0
+
 
 class TruncationError(RuntimeError):
     """Raised when the requested tail mass is unreachable below n_cut_max."""
-
-
-class CrossCheckError(RuntimeError):
-    """Raised when an analytic overlap and its Fock-space sum disagree."""
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,12 @@ class StatePrep:
 
     def __post_init__(self):
         if self.kind in (StateKind.COHERENT, StateKind.CAT):
-            if not (self.alpha >= 0.0):
-                raise ValueError(f"{self.kind.value} state requires alpha >= 0")
+            # the closed-form overlaps take alpha^2 as a double
+            if not (self.alpha >= 0.0 and math.isfinite(self.alpha * self.alpha)):
+                raise ValueError(f"{self.kind.value} state requires alpha >= 0 with a finite alpha^2")
         elif self.kind is StateKind.SQUEEZED_VACUUM:
-            if not math.isfinite(self.r):
-                raise ValueError("squeezed vacuum requires finite r")
+            if not abs(self.r) < R_MAX:
+                raise ValueError(f"squeezed vacuum requires |r| < {R_MAX:g}")
         elif self.kind is StateKind.RAW:
             if self.raw is None:
                 raise ValueError("raw state requires an amplitude vector")
@@ -210,11 +212,11 @@ def fock_squeezed_vacuum(
     """Squeezed vacuum |0, r>: only even photon numbers are populated.
 
     amplitude_{2n} = (cosh r)^{-1/2} sqrt((2n)!)/(2^n n!) (tanh r)^n.
-    Real squeezing parameter only; |r| < 10 guards norm convergence of
-    the truncated series.
+    Real squeezing parameter only; |r| < R_MAX guards norm convergence
+    of the truncated series.
     """
-    if not abs(r) < 10:
-        raise ValueError("squeezing parameter must satisfy |r| < 10")
+    if not abs(r) < R_MAX:
+        raise ValueError(f"squeezing parameter must satisfy |r| < {R_MAX:g}")
     return _build_with_auto_grow(
         lambda n: _squeezed_amplitudes(r, n), n_cut, tail_tol, auto_grow, n_cut_max
     )
@@ -303,6 +305,10 @@ def closed_overlap(a: StatePrep, b: StatePrep) -> complex | None:
     return math.cosh(a.r - b.r) ** -0.5
 
 
+# Off-diagonal Gram entry -> indices of its two states.
+GRAM_PAIRS = {"s12": (0, 1), "s13": (0, 2), "s23": (1, 2)}
+
+
 @dataclass(frozen=True)
 class GramData:
     """Off-diagonal entries of the 3x3 overlap matrix of (u1, u2, u3)."""
@@ -344,27 +350,23 @@ def gram_from_preps(
     n_cut: int = 64,
     tail_tol: float = TAIL_TOL,
     num_tol: float = NUM_TOL,
-    cross_check_tol: float = 1e-8,
 ) -> GramData:
-    """Overlap matrix entries from Fock-space inner products.
+    """Overlap matrix entries, each from its closed form where one exists.
 
-    Where an analytic overlap exists the two values are compared; a
-    discrepancy above cross_check_tol signals a truncation problem or a
-    misapplied formula and raises CrossCheckError.
+    Only a pair without one (a raw decoy) is summed over Fock vectors:
+    the three states are then realized from n_cut, auto-grown until the
+    tail mass is below tail_tol.
     """
-    vecs = [realize(p, n_cut=n_cut, tail_tol=tail_tol) for p in (u1, u2, u3)]
-    n = max(v.n_cut for v in vecs)
-    vecs = [v.padded(n) for v in vecs]
+    preps = (u1, u2, u3)
+    vecs = None
     entries = {}
-    for key, (i, j) in {"s12": (0, 1), "s13": (0, 2), "s23": (1, 2)}.items():
-        numeric = inner_product(vecs[i], vecs[j])
-        analytic = closed_overlap((u1, u2, u3)[i], (u1, u2, u3)[j])
-        if analytic is not None and abs(numeric - analytic) > cross_check_tol:
-            raise CrossCheckError(
-                f"{key}: Fock sum {numeric:.12g} vs closed form {analytic:.12g} "
-                f"differ by {abs(numeric - analytic):.3e} (truncation or formula misuse)"
-            )
-        entries[key] = numeric
+    for key, (i, j) in GRAM_PAIRS.items():
+        value = closed_overlap(preps[i], preps[j])
+        if value is None:
+            if vecs is None:
+                vecs = [realize(p, n_cut=n_cut, tail_tol=tail_tol) for p in preps]
+            value = inner_product(vecs[i], vecs[j])
+        entries[key] = value
     gram = GramData(**entries)
     gram.validate(num_tol)
     return gram

@@ -10,14 +10,11 @@ NUM_TOL = 1e-10
 # Maximum Fock-amplitude mass allowed beyond the truncation cutoff.
 TAIL_TOL = 1e-12
 
-# A reciprocal-basis scalar below this is treated as zero: it enters
-# matrix elements as 1/M^2, so the basis is numerically meaningless below it.
-DEGENERACY_TOL = 1e-8
-
 # Hard ceiling for auto-grown Fock truncations.
 N_CUT_MAX = 4096
 
-# Floor for the Gram-determinant cancellation: the determinant is an O(1)
-# alternating sum, so double precision cannot certify values below ~1e-13
-# as nonzero.  Anything smaller is clamped to exactly zero.
+# Floor for the Gram-minor cancellation: the determinant M^2 and the 2x2
+# minor L^2 = 1 - |S12|^2 are O(1) sums that cancel, so double precision
+# cannot certify values below ~1e-13 as nonzero.  Anything smaller is
+# exactly zero, and a zero minor is the one degeneracy rule.
 GRAM_DET_FLOOR = 1e-13

@@ -7,9 +7,10 @@ S12, S13, S23, the working basis is
 
 with H = S12 S23 - S13, K = S23 - conj(S12) S13, L = sqrt(1 - |S12|^2)
 and M^2 the Gram determinant.  The reciprocal vectors v_i (with
-<v_i|u_j> = delta_ij) exist only when M > 0; a decoy lying in the span
-of the two signals forces M = 0 and makes the discrimination
-measurement impossible.
+<v_i|u_j> = delta_ij) exist only when L and M are nonzero; a decoy
+lying in the span of the two signals forces M = 0 and makes the
+discrimination measurement impossible.  Both minors are zero below
+GRAM_DET_FLOOR, which is the only degeneracy tolerance.
 
 The inconclusive-outcome operator is
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .golden import bisect_last_true, sampled_golden_max
 from .states import GramData
-from .tolerances import DEGENERACY_TOL, GRAM_DET_FLOOR, NUM_TOL
+from .tolerances import GRAM_DET_FLOOR, NUM_TOL
 
 SYMMETRY_TOL = 1e-9
 
@@ -68,6 +69,11 @@ class UsdSolution:
     nu: float
 
 
+def _floored(minor: float) -> float:
+    """A Gram minor below the cancellation floor is exactly zero."""
+    return minor if minor >= GRAM_DET_FLOOR else 0.0
+
+
 def gram_det(g: GramData) -> float:
     """Determinant of the 3x3 overlap matrix (equals M^2).
 
@@ -86,36 +92,29 @@ def gram_det(g: GramData) -> float:
             2.0 * cross.real,
         ]
     )
-    if det < GRAM_DET_FLOOR:
-        return 0.0
-    return det
+    return _floored(det)
 
 
-def build_geometry(
-    g: GramData,
-    num_tol: float = NUM_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> UsdGeometry:
+def build_geometry(g: GramData, num_tol: float = NUM_TOL) -> UsdGeometry:
     """Construct the u/v vectors from overlap data.
 
     Rejects non-PSD overlap matrices.  Degenerate means the reciprocal
-    basis does not exist: either M < degeneracy_tol (decoy inside the
-    signal span) or L < degeneracy_tol (coincident signals).
+    basis does not exist: M = 0 (decoy inside the signal span) or L = 0
+    (coincident signals), each minor being zero below GRAM_DET_FLOOR.
     """
     g.validate(num_tol)
     s12, s13, s23 = g.s12, g.s13, g.s23
-    l_sq = max(0.0, 1.0 - abs(s12) ** 2)
-    l = math.sqrt(l_sq)
+    l = math.sqrt(_floored(1.0 - abs(s12) ** 2))
     h = s12 * s23 - s13
     k = s23 - np.conj(s12) * s13
     m = math.sqrt(gram_det(g))
 
     u1 = np.array([1.0, 0.0, 0.0], dtype=complex)
     u2 = np.array([s12, l, 0.0], dtype=complex)
-    if l < degeneracy_tol:
+    if l == 0.0:
         return UsdGeometry(u1, u2, None, None, None, None, h, k, l, m, True)
     u3 = np.array([s13, k / l, m / l], dtype=complex)
-    if m < degeneracy_tol:
+    if m == 0.0:
         return UsdGeometry(u1, u2, u3, None, None, None, h, k, l, m, True)
 
     v1 = np.array([1.0, -np.conj(s12) / l, np.conj(h) / (l * m)], dtype=complex)
@@ -149,12 +148,7 @@ def gram_delta(g: GramData) -> float:
     return 1.0 + s12 - 2.0 * t_sq
 
 
-def det_a0_closed(
-    g: GramData,
-    p_s: float,
-    p_d: float,
-    degeneracy_tol: float = DEGENERACY_TOL,
-) -> float:
+def det_a0_closed(g: GramData, p_s: float, p_d: float) -> float:
     """Closed-form det(A0) for the symmetric case.
 
     det = (2 P_D P_S + P_S^2 - P_D L^2 - P_S (2 - |S13|^2 - |S23|^2)
@@ -163,7 +157,7 @@ def det_a0_closed(
     _require_symmetric(g)
     l_sq = 1.0 - abs(g.s12) ** 2
     m_sq = gram_det(g)
-    if math.sqrt(m_sq) < degeneracy_tol:
+    if m_sq == 0.0:
         raise ValueError("closed-form determinant undefined for degenerate geometry")
     num = fsum(
         [
@@ -191,7 +185,6 @@ def optimize_usd(
     g: GramData,
     nu: float,
     num_tol: float = NUM_TOL,
-    degeneracy_tol: float = DEGENERACY_TOL,
     n_samples: int = 1024,
     tol: float = 1e-10,
 ) -> UsdSolution:
@@ -205,7 +198,7 @@ def optimize_usd(
     """
     if not (0.0 < nu < 1.0):
         raise ValueError("nu must lie in (0, 1)")
-    geom = build_geometry(g, num_tol, degeneracy_tol)
+    geom = build_geometry(g, num_tol)
     if geom.degenerate:
         return UsdSolution(0.0, 0.0, 1.0, 1.0, False, True, nu)
     s12, _ = _require_symmetric(g)

@@ -70,6 +70,28 @@ def test_usd_cat_degenerate_exit_code(capsys):
     assert report["result"]["geometry"]["degenerate"]
 
 
+@pytest.mark.parametrize("alpha", ["40", "60"])
+def test_usd_cat_degenerate_at_large_alpha(capsys, alpha):
+    code, report = run_cli(capsys, "usd", "--set", f"alpha={alpha}")
+    assert code == 3
+    assert report["result"]["geometry"] == {"l": 1.0, "m": 0.0, "degenerate": True}
+
+
+def test_overlaps_reports_realized_cutoff(capsys):
+    code, report = run_cli(capsys, "overlaps", "--set", "alpha=10")
+    assert code == 0
+    assert report["result"]["n_cut"] > 64
+    assert report["inputs"]["n_cut"] == 64
+    assert report["result"]["gram"]["s13"]["discrepancy"] < 1e-8
+    # a coarse truncation shows in the numeric column only: it is a Fock sum
+    code, report = run_cli(capsys, "overlaps", "--set", "alpha=1", "--set", "n_cut=2", "--set", "tolerances.tail_tol=0.1")
+    assert code == 0
+    assert report["result"]["n_cut"] == 2
+    s12 = report["result"]["gram"]["s12"]
+    assert s12["analytic"]["re"] == math.exp(-2.0)
+    assert abs(s12["numeric"]["re"] - 0.5 * math.exp(-1.0)) < 1e-15
+
+
 def test_usd_orthogonal(capsys):
     code, report = run_cli(
         capsys, "usd", "--set", "decoy.kind=orthogonal", "--set", "nu=0.1"
@@ -262,6 +284,33 @@ def test_removed_chunk_size_rejected(capsys, tmp_path):
         assert "simulation.chunk_size" in capsys.readouterr().err
 
 
+def test_removed_degeneracy_tol_rejected(capsys, tmp_path):
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps({"tolerances": {"num_tol": 1e-10, "degeneracy_tol": 1e-8}}))
+    for argv in (["--config", str(cfg)], ["--set", "tolerances.degeneracy_tol=1e-8"]):
+        code = main(["usd", *argv])
+        assert code == 2
+        assert "tolerances.degeneracy_tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        pytest.param(["usd", "--set", "alpha=1e200"], "alpha", id="usd-alpha-squared-overflows"),
+        pytest.param(["overlaps", "--set", "alpha=1e200"], "alpha", id="overlaps-alpha-squared-overflows"),
+        pytest.param(["usd", "--set", "decoy.kind=orthogonal", "--set", "alpha=100"], "decoy",
+                     id="orthogonal-decoy-truncation"),
+        pytest.param(["usd", "--set", "decoy.kind=squeezed", "--set", "decoy.r=1000"], "decoy.r", id="r-1000"),
+        pytest.param(["usd", "--set", 'sweep={"param": "alpha", "start": -1, "stop": 1, "steps": 3}', "--csv", "{tmp}"],
+                     "alpha", id="alpha-sweep-from-negative"),
+    ],
+)
+def test_out_of_domain_signal_and_decoy_exit_2(capsys, tmp_path, argv, field):
+    code = main([a.replace("{tmp}", str(tmp_path / "x.csv")) for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
 def test_raw_decoy_amplitude_beyond_float_range_exit_2(capsys):
     code = main(["usd", "--set", "decoy.kind=raw", "--set", f"decoy.amplitudes=[[{10**400}, 0], [1, 0]]"])
     err = capsys.readouterr().err
@@ -299,6 +348,7 @@ print(json.dumps([code, "numpy" in sys.modules, err.getvalue()]))
 """
 
 MU_SWEEP = 'sweep={"param": "mu", "start": 0.05, "stop": 1.0, "steps": 20}'
+R_SWEEP = '{"param": "r", "start": 0.2, "stop": 1.0, "steps": 3}'
 
 
 NO_NUMPY_CASES = [
@@ -319,6 +369,10 @@ NO_NUMPY_CASES = [
     ("alpha-401-digits", ["usd", "--set", f"alpha={10**400}"], 2, "alpha"),
     ("mu-401-digits", ["maxloss", "--set", f"loss.mu={10**400}"], 2, "loss.mu"),
     ("mu-5000-digits", ["maxloss", "--set", "loss.mu=" + "1" * 5000], 2, "loss.mu"),
+    ("usd-sweep-param-bogus", ["usd", "--set", "decoy.kind=squeezed", "--set", 'sweep={"param": "bogus"}'],
+     2, "sweep.param"),
+    ("usd-sweep-without-csv", ["usd", "--set", "decoy.kind=squeezed", "--set", f"sweep={R_SWEEP}"], 2, "--csv"),
+    ("usd-r-sweep-on-cat", ["usd", "--set", f"sweep={R_SWEEP}", "--csv", "{tmp}/r.csv"], 2, "sweep.param"),
     ("n-cut-1e11", ["overlaps", "--set", f"n_cut={10**11}"], 2, "n_cut"),
     ("n-cut-max-plus-1", ["overlaps", "--set", f"n_cut={N_CUT_MAX + 1}"], 2, "n_cut"),
     (
@@ -352,3 +406,25 @@ def test_sweep_grid_is_linspace_bit_for_bit(start, stop, steps):
     cfg = {"sweep": {"param": "mu", "start": start, "stop": stop, "steps": steps}}
     _, values = _sweep_values(cfg, ("mu",))
     assert [v.hex() for v in values] == [v.hex() for v in np.linspace(start, stop, steps).tolist()]
+
+
+def test_domain_fuzz_overlaps_usd_eve(capsys):
+    # seeded log-uniform alpha over the signal range, every decoy kind
+    rng = np.random.default_rng(2026)
+    decoys = {
+        "cat": [],
+        "squeezed": ["--set", "decoy.r=1.2"],
+        "orthogonal": [],
+        "raw": ["--set", "decoy.amplitudes=[[0, 0], [0, 0], [1, 0]]"],
+    }
+    for command in ("overlaps", "usd", "eve"):
+        for kind, extra in decoys.items():
+            for alpha in np.exp(rng.uniform(math.log(0.05), math.log(60.0), 3)).tolist():
+                argv = [command, "--set", f"alpha={alpha!r}", "--set", f"decoy.kind={kind}", *extra]
+                code = main(argv)
+                out = capsys.readouterr().out
+                assert code in (0, 2, 3), argv
+                if code in (0, 3):
+                    jsonschema.validate(json.loads(out), SCHEMA)
+                if command == "usd" and kind == "cat":
+                    assert code == 3, argv

@@ -24,12 +24,18 @@ R_MIN_AT_ALPHA_STAR = 0.44510790590574567  # asinh(2 alpha*^2)/2
 DELTA_MIN_AT_ALPHA_STAR = 0.010085423397788285
 
 
+# Amplitudes where Fock-sum noise in the Gram determinant can hide the
+# cat's degeneracy, up to 60, about the largest amplitude a Fock cutoff of
+# N_CUT_MAX = 4096 holds.
+CAT_LARGE_ALPHAS = (18.0, 20.0, 25.0, 35.0, 40.0, 45.0, 60.0)
+
+
 def test_design_cat_kill_switch():
-    for alpha in (0.5, 1.0, 2.0):
+    for alpha in [0.5, 1.0, 2.0, *np.linspace(0.05, 10.0, 4000).tolist(), *CAT_LARGE_ALPHAS]:
         design = design_cat(alpha)
-        assert design.usd_disabled
-        assert design.m_value < 1e-8
-        assert abs(design.delta) < 1e-10
+        assert design.usd_disabled, alpha
+        assert design.m_value == 0.0, alpha
+        assert abs(design.delta) < 1e-10, alpha
 
 
 def test_design_cat_overlap_value():
@@ -123,6 +129,17 @@ def test_minimize_delta_at_matched_alpha():
         2 * step
     )
     assert abs(slope) < 1e-6
+
+
+def test_minimize_delta_at_large_alpha():
+    # r* = asinh(2 alpha^2) / 2 is about 5.12 at alpha = 80
+    alpha = 80.0
+    r, delta = minimize_delta(alpha)
+    assert r > 5.0
+    assert abs(math.sinh(2.0 * r) - 2.0 * alpha**2) < 1e-9 * alpha**2
+    assert delta == delta_squeezed(alpha, r)
+    for step in (1e-3, -1e-3):
+        assert delta <= delta_squeezed(alpha, r + step)
 
 
 def test_minimize_delta_beats_grid():

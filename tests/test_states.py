@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from usdguard.states import (
+    GRAM_PAIRS,
     FockVector,
     GramData,
     TruncationError,
@@ -18,6 +19,7 @@ from usdguard.states import (
     gram_from_preps,
     inner_product,
     orthogonal_decoy_prep,
+    realize,
     squeezed_prep,
 )
 
@@ -84,6 +86,8 @@ def test_squeezed_normalization_converges():
 def test_squeezed_r_guard():
     with pytest.raises(ValueError):
         fock_squeezed_vacuum(10.0, 64)
+    with pytest.raises(ValueError):
+        squeezed_prep(-10.0)
 
 
 def test_cat_zero_alpha_is_vacuum():
@@ -168,6 +172,19 @@ def test_closed_vs_numeric_overlaps_random():
         assert abs(inner_product(coh_p, coh_m) - math.exp(-2 * alpha**2)) < 1e-8
         closed = closed_overlap(coherent_prep(alpha), squeezed_prep(r))
         assert abs(inner_product(coh_p, sq) - closed) < 1e-8
+
+
+def test_gram_closed_forms_match_fock_sums():
+    # the Gram matrix is built from closed forms; auto-grown Fock sums stay its check
+    for alpha in np.linspace(0.05, 4.0, 9):
+        signals = coherent_prep(float(alpha), 0.3), coherent_prep(float(alpha), 0.3 + math.pi)
+        decoys = [cat_prep(float(alpha), 0.3)] + [squeezed_prep(float(r)) for r in np.linspace(0.0, 2.5, 6)]
+        for decoy in decoys:
+            preps = (*signals, decoy)
+            vecs = [realize(p) for p in preps]
+            g = gram_from_preps(*preps)
+            for key, (i, j) in GRAM_PAIRS.items():
+                assert abs(getattr(g, key) - inner_product(vecs[i], vecs[j])) < 1e-8, (alpha, decoy, key)
 
 
 def test_phase_covariance():

@@ -50,6 +50,14 @@ def test_geometry_cat_is_degenerate():
     assert geom.v1 is None and geom.v2 is None and geom.v3 is None
 
 
+def test_geometry_minor_floor_decides_coincident_signals():
+    # L^2 = 1 - |S12|^2 below GRAM_DET_FLOOR (1e-13) is zero, like M^2
+    geom = build_geometry(GramData(1.0 - 2e-14, 0.0, 0.0))
+    assert geom.degenerate and geom.l == 0.0 and geom.u3 is None
+    geom = build_geometry(GramData(1.0 - 2e-13, 0.0, 0.0))
+    assert not geom.degenerate and geom.l > 0.0 and geom.m > 0.0
+
+
 def test_geometry_reproduces_overlaps():
     rng = np.random.default_rng(5)
     for _ in range(20):
