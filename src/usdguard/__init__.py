@@ -1,7 +1,7 @@
 """Decoy-state design and attack analysis for two-state phase-coded QKD.
 
 Submodules (import names from them; the package re-exports nothing):
-  states      truncated Fock vectors, overlaps and overlap matrices
+  states      protocol states, exact overlaps and overlap matrices, Fock vectors
   usd         reciprocal-basis geometry and the discrimination optimum
   decoy       cat / squeezed-vacuum decoy design and Delta minimization
   channel     honest and intercepted conditional-probability tables

@@ -172,19 +172,14 @@ class EveSolveResult:
         return self.g_e is None
 
 
-def solve_eve(
-    m: ChannelModel,
-    p_s: float,
-    p_d: float,
-    decoy_split: tuple[float, float] | None = None,
-) -> EveSolveResult:
+def solve_eve(m: ChannelModel, p_s: float, p_d: float) -> EveSolveResult:
     """Resend parameters that keep every honest rate unchanged.
 
     Zeroing the rate differences gives g_e = 1 - (1-g)/p_s, e_e = e/p_s
     and d_e = d/p_d, the last split between the two decoy readouts in
-    the honest d0:d1 proportion unless decoy_split overrides it.  With
-    all differences zero any routing fraction preserves statistics, so
-    p_e = 1 is returned as the canonical choice.
+    the honest d0:d1 proportion (any other split changes their rates).
+    With all differences zero any routing fraction preserves statistics,
+    so p_e = 1 is returned as the canonical choice.
 
     p_s = 0 or p_d = 0 means the discrimination measurement does not
     exist and the attack is impossible outright.
@@ -217,12 +212,7 @@ def solve_eve(
     if violations:
         return EveSolveResult(False, None, g_e, e_e, d_e, tuple(violations))
 
-    if decoy_split is None:
-        split0 = m.d0 / m.d
-    else:
-        if not math.isclose(sum(decoy_split), 1.0, abs_tol=1e-9):
-            raise ValueError("decoy_split must sum to 1")
-        split0 = decoy_split[0]
+    split0 = m.d0 / m.d
     strategy = EveStrategy(
         p_e=1.0,
         p_s=p_s,

@@ -64,6 +64,7 @@ def _tolerances(cfg: dict) -> dict:
 
 
 def _signal_params(cfg: dict) -> tuple[float, float, int]:
+    # only overlaps truncates (n_cut), but every command accepts the same config
     alpha = require_number(cfg, "alpha", lo=0.0)
     phi = require_number(cfg, "phi")
     n_cut = require_int(cfg, "n_cut", lo=1, hi=N_CUT_MAX)
@@ -78,7 +79,7 @@ def _decoy_kind(cfg: dict) -> str:
     return kind
 
 
-def _preps(cfg: dict, alpha: float, phi: float, n_cut: int) -> tuple[st.StatePrep, ...]:
+def _preps(cfg: dict, alpha: float, phi: float) -> tuple[st.StatePrep, ...]:
     """The two signal states and the configured decoy."""
     kind = _decoy_kind(cfg)
     from . import states as st
@@ -91,8 +92,7 @@ def _preps(cfg: dict, alpha: float, phi: float, n_cut: int) -> tuple[st.StatePre
         with _as_config_error("decoy.r"):
             return *signals, st.squeezed_prep(require_number(cfg, "decoy.r"))
     if kind == "orthogonal":
-        with _as_config_error("decoy", st.TruncationError):
-            return *signals, st.orthogonal_decoy_prep(alpha, phi, n_cut)
+        return *signals, st.orthogonal_decoy_prep(alpha, phi)
     amps = cfg["decoy"].get("amplitudes")
     if not isinstance(amps, list) or len(amps) < 2:
         raise ConfigError("decoy.amplitudes", "raw decoy requires a list of [re, im] pairs")
@@ -100,11 +100,11 @@ def _preps(cfg: dict, alpha: float, phi: float, n_cut: int) -> tuple[st.StatePre
         return *signals, st.raw_prep([complex(a[0], a[1]) for a in amps])
 
 
-def _gram(preps: tuple[st.StatePrep, ...], n_cut: int, tols: dict) -> st.GramData:
+def _gram(preps: tuple[st.StatePrep, ...], tols: dict) -> st.GramData:
     from . import states as st
 
-    with _as_config_error("decoy", st.TruncationError):
-        return st.gram_from_preps(*preps, n_cut=n_cut, tail_tol=tols["tail_tol"], num_tol=tols["num_tol"])
+    with _as_config_error("decoy"):
+        return st.gram_from_preps(*preps, num_tol=tols["num_tol"])
 
 
 def _channel(cfg: dict) -> ch.ChannelModel:
@@ -176,28 +176,37 @@ def _emit(report: dict) -> None:
     sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
 
 
-def _overlap_entry(numeric: complex, analytic: complex | None) -> dict:
+def _overlap_entry(numeric: complex | None, analytic: complex) -> dict:
     return {
-        "numeric": _cplx(numeric),
-        "analytic": None if analytic is None else _cplx(analytic),
-        "discrepancy": None if analytic is None else float(abs(numeric - analytic)),
+        "numeric": None if numeric is None else _cplx(numeric),
+        "analytic": _cplx(analytic),
+        "discrepancy": None if numeric is None else float(abs(numeric - analytic)),
     }
 
 
 def cmd_overlaps(cfg: dict) -> int:
     alpha, phi, n_cut = _signal_params(cfg)
     tols = _tolerances(cfg)
-    preps = _preps(cfg, alpha, phi, n_cut)
-    gram = _gram(preps, n_cut, tols)
+    preps = _preps(cfg, alpha, phi)
+    gram = _gram(preps, tols)
     from . import states as st
 
-    # the numeric column is the independent Fock-space check of the closed forms
-    with _as_config_error("decoy", st.TruncationError):
-        vecs = [st.realize(p, n_cut=n_cut, tail_tol=tols["tail_tol"]) for p in preps]
+    # the numeric column is the independent Fock-space check of the exact
+    # entries; it is null wherever a state keeps tail mass at N_CUT_MAX
+    vecs, truncated = [], set()
+    for index, prep in enumerate(preps):
+        try:
+            vecs.append(st.realize(prep, n_cut=n_cut, tail_tol=tols["tail_tol"]))
+        except st.TruncationError as exc:
+            vecs.append(exc.vector)
+            truncated.add(index)
     result = {
         "n_cut": max(v.n_cut for v in vecs),
+        "tail_mass": [v.tail_mass for v in vecs],
         "gram": {
-            key: _overlap_entry(st.inner_product(vecs[i], vecs[j]), st.closed_overlap(preps[i], preps[j]))
+            key: _overlap_entry(
+                None if truncated & {i, j} else st.inner_product(vecs[i], vecs[j]), getattr(gram, key)
+            )
             for key, (i, j) in st.GRAM_PAIRS.items()
         },
         "symmetric": gram.is_symmetric(),
@@ -220,13 +229,13 @@ def _optimize(gram: st.GramData, nu: float, tols: dict) -> usd.UsdSolution:
         return usd.optimize_usd(gram, nu, tols["num_tol"])
 
 
-def _solve_point(cfg: dict, alpha: float, phi: float, n_cut: int, tols: dict) -> usd.UsdSolution:
+def _solve_point(cfg: dict, alpha: float, phi: float, tols: dict) -> usd.UsdSolution:
     nu = _nu(cfg)
-    return _optimize(_gram(_preps(cfg, alpha, phi, n_cut), n_cut, tols), nu, tols)
+    return _optimize(_gram(_preps(cfg, alpha, phi), tols), nu, tols)
 
 
 def cmd_usd(cfg: dict, csv_path: str | None) -> int:
-    alpha, phi, n_cut = _signal_params(cfg)
+    alpha, phi, _ = _signal_params(cfg)
     tols = _tolerances(cfg)
     nu = _nu(cfg)
     sweep = _sweep_values(cfg, ("alpha", "r"))
@@ -235,7 +244,7 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
             raise ConfigError("--csv", "sweep output needs a CSV path")
         if sweep[0] == "r" and _decoy_kind(cfg) != "squeezed":
             raise ConfigError("sweep.param", "r sweeps require a squeezed decoy")
-    gram = _gram(_preps(cfg, alpha, phi, n_cut), n_cut, tols)
+    gram = _gram(_preps(cfg, alpha, phi), tols)
     from . import usd
 
     geom = usd.build_geometry(gram, tols["num_tol"])
@@ -249,10 +258,10 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
             point_cfg = json.loads(json.dumps(cfg))
             if param == "alpha":
                 point_cfg["alpha"] = value
-                sol = _solve_point(point_cfg, value, phi, n_cut, tols)
+                sol = _solve_point(point_cfg, value, phi, tols)
             else:
                 point_cfg["decoy"]["r"] = value
-                sol = _solve_point(point_cfg, alpha, phi, n_cut, tols)
+                sol = _solve_point(point_cfg, alpha, phi, tols)
             rows.append([value, sol.p_s, sol.p_d, sol.p0])
         _write_csv(csv_path, [param, "p_s", "p_d", "p0"], rows)
         sweep_info = {"param": param, "points": len(rows), "csv": csv_path}
@@ -268,7 +277,7 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
 
 
 def cmd_eve(cfg: dict) -> int:
-    alpha, phi, n_cut = _signal_params(cfg)
+    alpha, phi, _ = _signal_params(cfg)
     tols = _tolerances(cfg)
     model = _channel(cfg)
     eve_cfg = cfg.get("eve") or {}
@@ -277,7 +286,7 @@ def cmd_eve(cfg: dict) -> int:
         p_d = require_number(cfg, "eve.p_d", 0.0, 1.0)
         source = "config"
     else:
-        solution = _solve_point(cfg, alpha, phi, n_cut, tols)
+        solution = _solve_point(cfg, alpha, phi, tols)
         p_s, p_d = solution.p_s, solution.p_d
         source = "usd"
     with _as_config_error("channel"):

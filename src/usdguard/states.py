@@ -1,12 +1,14 @@
-"""Truncated Fock-space representations of the protocol states.
+"""Protocol states, their exact overlaps and truncated Fock vectors.
 
 The two signal states are weak coherent pulses |alpha e^{i phi}> and
 |-alpha e^{i phi}>; the decoy is either an even (Schroedinger-cat)
-superposition of the two, a squeezed vacuum |0, r>, or a raw amplitude
-vector.  Every overlap between coherent, cat and squeezed states has a
-closed form, and the Gram matrix is built from those; truncated Fock
-vectors are realized only where no closed form exists (a raw decoy) and
-as the independent check that the `overlaps` report and the tests make.
+superposition of the two, a squeezed vacuum |0, r>, the two-photon state
+with the cat projected out (orthogonal to both signals), or a raw
+amplitude vector.  Every Gram entry is exact: coherent, cat and squeezed
+overlaps have closed forms, the orthogonal decoy's follow from them, and
+a raw vector's overlap is a finite sum over its support.  Truncated Fock
+vectors are realized only as the independent check that the `overlaps`
+report and the tests make.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import fsum
 
 import numpy as np
 
-from .tolerances import N_CUT_MAX, NUM_TOL, TAIL_TOL
+from .tolerances import N_CUT_MAX, NUM_TOL, SYMMETRY_TOL, TAIL_TOL
 
 # Squeezing beyond this (~1.2e8 mean photons) is outside the model's
 # domain; it also bounds the Fock series that a squeezed vacuum needs.
@@ -28,7 +30,14 @@ R_MAX = 10.0
 
 
 class TruncationError(RuntimeError):
-    """Raised when the requested tail mass is unreachable below n_cut_max."""
+    """Raised when the tail mass is still tail_tol or more at N_CUT_MAX.
+
+    vector is the truncation reached, with its tail mass.
+    """
+
+    def __init__(self, vector: FockVector, tail_tol: float):
+        super().__init__(f"tail mass {vector.tail_mass:.3e} >= {tail_tol:.1e} at n_cut={vector.n_cut}")
+        self.vector = vector
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,7 @@ class StateKind(str, Enum):
     COHERENT = "coherent"
     CAT = "cat"
     SQUEEZED_VACUUM = "squeezed_vacuum"
+    ORTHOGONAL = "orthogonal"
     RAW = "raw"
 
 
@@ -80,9 +90,10 @@ class StatePrep:
     """Symbolic description of a protocol state.
 
     alpha/phi are the coherent amplitude and phase (cat states use the
-    same parameters for their two branches); r is the squeezing
-    parameter, used only by squeezed vacuum.  Raw states carry their
-    amplitude vector directly.
+    same parameters for their two branches, the orthogonal decoy those of
+    the signals it is orthogonal to); r is the squeezing parameter, used
+    only by squeezed vacuum.  Raw states carry their amplitude vector
+    directly.
     """
 
     kind: StateKind
@@ -92,7 +103,7 @@ class StatePrep:
     raw: FockVector | None = None
 
     def __post_init__(self):
-        if self.kind in (StateKind.COHERENT, StateKind.CAT):
+        if self.kind in (StateKind.COHERENT, StateKind.CAT, StateKind.ORTHOGONAL):
             # the closed-form overlaps take alpha^2 as a double
             if not (self.alpha >= 0.0 and math.isfinite(self.alpha * self.alpha)):
                 raise ValueError(f"{self.kind.value} state requires alpha >= 0 with a finite alpha^2")
@@ -122,6 +133,11 @@ def raw_prep(amplitudes: np.ndarray) -> StatePrep:
     return StatePrep(StateKind.RAW, raw=FockVector(np.asarray(amplitudes, complex)))
 
 
+def orthogonal_decoy_prep(alpha: float, phi: float = 0.0) -> StatePrep:
+    """Decoy (|2> - <C|2> |C>) / nu, orthogonal to both signal states (C: the even cat)."""
+    return StatePrep(StateKind.ORTHOGONAL, alpha=alpha, phi=phi)
+
+
 def cat_norm(alpha: float) -> float:
     """Normalization sqrt(2 (1 + exp(-2 alpha^2))) of the even superposition."""
     return math.sqrt(2.0 * (1.0 + math.exp(-2.0 * alpha * alpha)))
@@ -142,6 +158,14 @@ def _coherent_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
     n = np.arange(n_cut + 1)
     log_mag = -0.5 * alpha * alpha + n * math.log(alpha) - 0.5 * _log_factorials(n_cut)
     return np.exp(log_mag) * np.exp(1j * phi * n)
+
+
+def _cat_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
+    # odd components cancel identically and are stored as exact zeros
+    coh = _coherent_amplitudes(alpha, phi, n_cut)
+    amps = np.zeros(n_cut + 1, dtype=complex)
+    amps[::2] = 2.0 * coh[::2] / cat_norm(alpha)
+    return amps
 
 
 def _squeezed_amplitudes(r: float, n_cut: int) -> np.ndarray:
@@ -166,7 +190,28 @@ def _squeezed_amplitudes(r: float, n_cut: int) -> np.ndarray:
     return amps
 
 
-def _build_with_auto_grow(build, n_cut, tail_tol, auto_grow, n_cut_max) -> FockVector:
+def _orthogonal_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
+    cat = _cat_amplitudes(alpha, phi, max(n_cut, 2))
+    c2 = cat[2].conjugate()  # <C|2>
+    amps = -c2 * cat
+    amps[2] += 1.0
+    return amps[: n_cut + 1] / math.sqrt(1.0 - abs(c2) ** 2)
+
+
+def _amplitudes(prep: StatePrep, n_cut: int) -> np.ndarray:
+    """Amplitudes 0..n_cut of prep's exact state (a raw vector is cut or zero-padded)."""
+    if prep.kind is StateKind.COHERENT:
+        return _coherent_amplitudes(prep.alpha, prep.phi, n_cut)
+    if prep.kind is StateKind.CAT:
+        return _cat_amplitudes(prep.alpha, prep.phi, n_cut)
+    if prep.kind is StateKind.SQUEEZED_VACUUM:
+        return _squeezed_amplitudes(prep.r, n_cut)
+    if prep.kind is StateKind.ORTHOGONAL:
+        return _orthogonal_amplitudes(prep.alpha, prep.phi, n_cut)
+    return prep.raw.padded(n_cut).amplitudes[: n_cut + 1]
+
+
+def _build_with_auto_grow(build, n_cut, tail_tol, auto_grow) -> FockVector:
     if n_cut < 1:
         raise ValueError("n_cut must be >= 1")
     n = n_cut
@@ -175,11 +220,9 @@ def _build_with_auto_grow(build, n_cut, tail_tol, auto_grow, n_cut_max) -> FockV
         tail = max(0.0, 1.0 - fsum(np.abs(amps) ** 2))
         if tail < tail_tol or not auto_grow:
             return FockVector(amps, tail)
-        if n >= n_cut_max:
-            raise TruncationError(
-                f"tail mass {tail:.3e} >= {tail_tol:.1e} at n_cut={n} (max {n_cut_max})"
-            )
-        n = min(2 * n, n_cut_max)
+        if n >= N_CUT_MAX:
+            raise TruncationError(FockVector(amps, tail), tail_tol)
+        n = min(2 * n, N_CUT_MAX)
 
 
 def fock_coherent(
@@ -188,18 +231,15 @@ def fock_coherent(
     n_cut: int = 64,
     tail_tol: float = TAIL_TOL,
     auto_grow: bool = True,
-    n_cut_max: int = N_CUT_MAX,
 ) -> FockVector:
     """Coherent state |alpha e^{i phi}>: amplitude_n = e^{-a^2/2} (a e^{i phi})^n / sqrt(n!).
 
-    The truncation grows in powers of two until the discarded tail mass
-    drops below tail_tol (unless auto_grow is disabled).
+    The truncation grows in powers of two, up to N_CUT_MAX, until the
+    discarded tail mass drops below tail_tol (unless auto_grow is disabled).
     """
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return _build_with_auto_grow(
-        lambda n: _coherent_amplitudes(alpha, phi, n), n_cut, tail_tol, auto_grow, n_cut_max
-    )
+    return _build_with_auto_grow(lambda n: _coherent_amplitudes(alpha, phi, n), n_cut, tail_tol, auto_grow)
 
 
 def fock_squeezed_vacuum(
@@ -207,7 +247,6 @@ def fock_squeezed_vacuum(
     n_cut: int = 64,
     tail_tol: float = TAIL_TOL,
     auto_grow: bool = True,
-    n_cut_max: int = N_CUT_MAX,
 ) -> FockVector:
     """Squeezed vacuum |0, r>: only even photon numbers are populated.
 
@@ -217,9 +256,7 @@ def fock_squeezed_vacuum(
     """
     if not abs(r) < R_MAX:
         raise ValueError(f"squeezing parameter must satisfy |r| < {R_MAX:g}")
-    return _build_with_auto_grow(
-        lambda n: _squeezed_amplitudes(r, n), n_cut, tail_tol, auto_grow, n_cut_max
-    )
+    return _build_with_auto_grow(lambda n: _squeezed_amplitudes(r, n), n_cut, tail_tol, auto_grow)
 
 
 def fock_cat(
@@ -228,23 +265,11 @@ def fock_cat(
     n_cut: int = 64,
     tail_tol: float = TAIL_TOL,
     auto_grow: bool = True,
-    n_cut_max: int = N_CUT_MAX,
 ) -> FockVector:
-    """Even cat state (|alpha e^{i phi}> + |-alpha e^{i phi}>) / sqrt(2(1+e^{-2 a^2})).
-
-    Odd components cancel identically and are stored as exact zeros.
-    """
+    """Even cat state (|alpha e^{i phi}> + |-alpha e^{i phi}>) / sqrt(2(1+e^{-2 a^2}))."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    norm = cat_norm(alpha)
-
-    def build(n):
-        coh = _coherent_amplitudes(alpha, phi, n)
-        amps = np.zeros(n + 1, dtype=complex)
-        amps[::2] = 2.0 * coh[::2] / norm
-        return amps
-
-    return _build_with_auto_grow(build, n_cut, tail_tol, auto_grow, n_cut_max)
+    return _build_with_auto_grow(lambda n: _cat_amplitudes(alpha, phi, n), n_cut, tail_tol, auto_grow)
 
 
 def inner_product(a: FockVector, b: FockVector) -> complex:
@@ -258,15 +283,18 @@ def realize(
     n_cut: int = 64,
     tail_tol: float = TAIL_TOL,
     auto_grow: bool = True,
-    n_cut_max: int = N_CUT_MAX,
 ) -> FockVector:
     """Materialize a StatePrep as a truncated Fock vector."""
     if prep.kind is StateKind.COHERENT:
-        return fock_coherent(prep.alpha, prep.phi, n_cut, tail_tol, auto_grow, n_cut_max)
+        return fock_coherent(prep.alpha, prep.phi, n_cut, tail_tol, auto_grow)
     if prep.kind is StateKind.CAT:
-        return fock_cat(prep.alpha, prep.phi, n_cut, tail_tol, auto_grow, n_cut_max)
+        return fock_cat(prep.alpha, prep.phi, n_cut, tail_tol, auto_grow)
     if prep.kind is StateKind.SQUEEZED_VACUUM:
-        return fock_squeezed_vacuum(prep.r, n_cut, tail_tol, auto_grow, n_cut_max)
+        return fock_squeezed_vacuum(prep.r, n_cut, tail_tol, auto_grow)
+    if prep.kind is StateKind.ORTHOGONAL:
+        return _build_with_auto_grow(
+            lambda n: _orthogonal_amplitudes(prep.alpha, prep.phi, n), n_cut, tail_tol, auto_grow
+        )
     return prep.raw
 
 
@@ -280,14 +308,33 @@ def _overlap_coherent_squeezed(b: complex, r: float) -> complex:
     return math.cosh(r) ** -0.5 * cmath.exp(-0.5 * abs(b) ** 2 + 0.5 * b.conjugate() ** 2 * math.tanh(r))
 
 
-def closed_overlap(a: StatePrep, b: StatePrep) -> complex | None:
-    """Analytic <a|b> where a closed form exists, else None (raw states).
+def _two_photon_overlap(a: StatePrep) -> complex:
+    """<a|2>."""
+    return complex(_amplitudes(a, 2)[2]).conjugate()
 
-    Cat states expand into their two coherent branches; squeezed-squeezed
-    uses <0,r1|0,r2> = cosh(r1-r2)^{-1/2}.
+
+def closed_overlap(a: StatePrep, b: StatePrep) -> complex:
+    """Exact <a|b> for every pair of state kinds.
+
+    A raw vector's overlap is the finite sum over its support.  The
+    orthogonal decoy O = (|2> - <C|2> |C>)/nu gives <a|O> =
+    (<a|2> - <C|2> <a|C>)/nu, exactly 0 for the signals (their even part
+    is along C, their odd part has no |2>).  Cat states expand into their
+    two coherent branches; squeezed-squeezed uses
+    <0,r1|0,r2> = cosh(r1-r2)^{-1/2}.
     """
-    if a.kind is StateKind.RAW or b.kind is StateKind.RAW:
-        return None
+    if b.kind is StateKind.RAW:
+        return complex(np.vdot(_amplitudes(a, b.raw.n_cut), b.raw.amplitudes))
+    if a.kind is StateKind.RAW:
+        return closed_overlap(b, a).conjugate()
+    if b.kind is StateKind.ORTHOGONAL:
+        if a.kind is StateKind.COHERENT and a.alpha == b.alpha and a.phi in (b.phi, b.phi + math.pi):
+            return 0j
+        cat = cat_prep(b.alpha, b.phi)
+        c2 = _two_photon_overlap(cat)
+        return (_two_photon_overlap(a) - c2 * closed_overlap(a, cat)) / math.sqrt(1.0 - abs(c2) ** 2)
+    if a.kind is StateKind.ORTHOGONAL:
+        return closed_overlap(b, a).conjugate()
     if a.kind is StateKind.CAT:
         ap, am = coherent_prep(a.alpha, a.phi), coherent_prep(a.alpha, a.phi + math.pi)
         return (closed_overlap(ap, b) + closed_overlap(am, b)) / cat_norm(a.alpha)
@@ -338,67 +385,14 @@ class GramData:
         if self.min_eigenvalue() < -num_tol:
             raise ValueError("overlap matrix is not positive semidefinite")
 
-    def is_symmetric(self, tol: float = 1e-9) -> bool:
+    def is_symmetric(self) -> bool:
         """Equal decoy overlaps and real signal overlap."""
-        return abs(self.s13 - self.s23) <= tol and abs(self.s12.imag) <= tol
+        return abs(self.s13 - self.s23) <= SYMMETRY_TOL and abs(self.s12.imag) <= SYMMETRY_TOL
 
 
-def gram_from_preps(
-    u1: StatePrep,
-    u2: StatePrep,
-    u3: StatePrep,
-    n_cut: int = 64,
-    tail_tol: float = TAIL_TOL,
-    num_tol: float = NUM_TOL,
-) -> GramData:
-    """Overlap matrix entries, each from its closed form where one exists.
-
-    Only a pair without one (a raw decoy) is summed over Fock vectors:
-    the three states are then realized from n_cut, auto-grown until the
-    tail mass is below tail_tol.
-    """
+def gram_from_preps(u1: StatePrep, u2: StatePrep, u3: StatePrep, num_tol: float = NUM_TOL) -> GramData:
+    """Overlap matrix entries, each exact from closed_overlap, validated."""
     preps = (u1, u2, u3)
-    vecs = None
-    entries = {}
-    for key, (i, j) in GRAM_PAIRS.items():
-        value = closed_overlap(preps[i], preps[j])
-        if value is None:
-            if vecs is None:
-                vecs = [realize(p, n_cut=n_cut, tail_tol=tail_tol) for p in preps]
-            value = inner_product(vecs[i], vecs[j])
-        entries[key] = value
-    gram = GramData(**entries)
+    gram = GramData(**{key: closed_overlap(preps[i], preps[j]) for key, (i, j) in GRAM_PAIRS.items()})
     gram.validate(num_tol)
     return gram
-
-
-def orthogonal_decoy_prep(alpha: float, phi: float = 0.0, n_cut: int = 64) -> StatePrep:
-    """Raw decoy orthogonal to both signal states.
-
-    Built by projecting the two-photon Fock state out of the signal span;
-    |2> is even, so only the even (cat) direction contributes and the
-    residual stays well conditioned for any alpha of interest.
-    """
-    cat = fock_cat(alpha, phi, n_cut=n_cut)
-    n = cat.n_cut
-    seed = np.zeros(n + 1, dtype=complex)
-    seed[2] = 1.0
-    odd = _odd_signal_direction(alpha, phi, n)
-    for basis in (cat.amplitudes, odd):
-        if basis is not None:
-            seed = seed - np.vdot(basis, seed) * basis
-    norm = math.sqrt(fsum(np.abs(seed) ** 2))
-    if norm < 0.1:
-        raise ValueError("orthogonal decoy construction is ill-conditioned here")
-    return raw_prep(seed / norm)
-
-
-def _odd_signal_direction(alpha: float, phi: float, n_cut: int) -> np.ndarray | None:
-    # normalized odd combination (|b> - |-b>) of the signal pair
-    denom = 2.0 * (1.0 - math.exp(-2.0 * alpha * alpha))
-    if denom <= 0.0:
-        return None
-    coh = _coherent_amplitudes(alpha, phi, n_cut)
-    odd = np.zeros(n_cut + 1, dtype=complex)
-    odd[1::2] = 2.0 * coh[1::2] / math.sqrt(denom)
-    return odd

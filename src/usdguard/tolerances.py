@@ -10,6 +10,9 @@ NUM_TOL = 1e-10
 # Maximum Fock-amplitude mass allowed beyond the truncation cutoff.
 TAIL_TOL = 1e-12
 
+# Largest |S13 - S23| and |Im S12| of a Gram matrix that counts as symmetric.
+SYMMETRY_TOL = 1e-9
+
 # Hard ceiling for auto-grown Fock truncations.
 N_CUT_MAX = 4096
 

@@ -32,8 +32,6 @@ from .golden import bisect_last_true, sampled_golden_max
 from .states import GramData
 from .tolerances import GRAM_DET_FLOOR, NUM_TOL
 
-SYMMETRY_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class UsdGeometry:
@@ -135,7 +133,7 @@ def build_a0(geom: UsdGeometry, p_s: float, p_d: float, num_tol: float = NUM_TOL
 
 
 def _require_symmetric(g: GramData) -> tuple[float, float]:
-    if not g.is_symmetric(SYMMETRY_TOL):
+    if not g.is_symmetric():
         raise ValueError(
             "symmetric case required: equal decoy overlaps (s13 = s23) and real s12"
         )

@@ -178,13 +178,6 @@ def test_solve_eve_requires_positive_d():
         solve_eve(ChannelModel(g=0.9, e=0.01, d0=0.0, d1=0.0), 0.5, 0.5)
 
 
-def test_solve_eve_custom_split():
-    m = ChannelModel(g=0.9, e=0.01, d0=0.015, d1=0.005)
-    result = solve_eve(m, p_s=0.5, p_d=0.5, decoy_split=(0.25, 0.75))
-    assert result.feasible
-    assert result.strategy.d0_e == pytest.approx(0.25 * result.d_e)
-
-
 def test_threshold_no_separation_when_rates_equal():
     v = threshold_test(10**6, 20000, 0.02, 0.02, 5.0)
     assert not v.bounds_separated and not v.attack_detected

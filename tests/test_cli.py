@@ -48,8 +48,9 @@ def test_overlaps_cat(capsys):
 def test_overlaps_orthogonal_decoy(capsys):
     code, report = run_cli(capsys, "overlaps", "--set", "decoy.kind=orthogonal")
     assert code == 0
-    s13 = report["result"]["gram"]["s13"]["numeric"]
-    assert abs(complex(s13["re"], s13["im"])) < 1e-10
+    s13 = report["result"]["gram"]["s13"]
+    assert s13["analytic"] == {"re": 0.0, "im": 0.0}
+    assert abs(complex(s13["numeric"]["re"], s13["numeric"]["im"])) < 1e-10
 
 
 def test_overlaps_squeezed(capsys):
@@ -87,6 +88,7 @@ def test_overlaps_reports_realized_cutoff(capsys):
     code, report = run_cli(capsys, "overlaps", "--set", "alpha=1", "--set", "n_cut=2", "--set", "tolerances.tail_tol=0.1")
     assert code == 0
     assert report["result"]["n_cut"] == 2
+    assert all(0.0 < tail < 0.1 for tail in report["result"]["tail_mass"])
     s12 = report["result"]["gram"]["s12"]
     assert s12["analytic"]["re"] == math.exp(-2.0)
     assert abs(s12["numeric"]["re"] - 0.5 * math.exp(-1.0)) < 1e-15
@@ -298,8 +300,6 @@ def test_removed_degeneracy_tol_rejected(capsys, tmp_path):
     [
         pytest.param(["usd", "--set", "alpha=1e200"], "alpha", id="usd-alpha-squared-overflows"),
         pytest.param(["overlaps", "--set", "alpha=1e200"], "alpha", id="overlaps-alpha-squared-overflows"),
-        pytest.param(["usd", "--set", "decoy.kind=orthogonal", "--set", "alpha=100"], "decoy",
-                     id="orthogonal-decoy-truncation"),
         pytest.param(["usd", "--set", "decoy.kind=squeezed", "--set", "decoy.r=1000"], "decoy.r", id="r-1000"),
         pytest.param(["usd", "--set", 'sweep={"param": "alpha", "start": -1, "stop": 1, "steps": 3}', "--csv", "{tmp}"],
                      "alpha", id="alpha-sweep-from-negative"),
@@ -309,6 +309,46 @@ def test_out_of_domain_signal_and_decoy_exit_2(capsys, tmp_path, argv, field):
     code = main([a.replace("{tmp}", str(tmp_path / "x.csv")) for a in argv])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+
+
+TWO_PHOTON = "decoy.amplitudes=[[0, 0], [0, 0], [1, 0]]"
+
+
+@pytest.mark.parametrize("command", ["usd", "eve"])
+@pytest.mark.parametrize(
+    "decoy",
+    [
+        pytest.param(["--set", "decoy.kind=orthogonal"], id="orthogonal"),
+        pytest.param(["--set", "decoy.kind=raw", "--set", TWO_PHOTON], id="raw-two-photon"),
+    ],
+)
+def test_decoys_orthogonal_to_signals_at_large_alpha(capsys, command, decoy):
+    code, report = run_cli(capsys, command, "--set", "alpha=100", *decoy)
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    p_d = report["result"]["solution"]["p_d"] if command == "usd" else report["result"]["p_d"]
+    assert p_d == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, truncated",
+    [
+        pytest.param(["--set", "alpha=100", "--set", "decoy.kind=squeezed"], {0, 1}, id="alpha-100-squeezed"),
+        pytest.param(["--set", "decoy.kind=squeezed", "--set", "decoy.r=5"], {2}, id="r-5"),
+        pytest.param(["--set", "decoy.kind=orthogonal", "--set", "alpha=100"], {0, 1}, id="alpha-100-orthogonal"),
+    ],
+)
+def test_overlaps_numeric_null_beyond_n_cut_max(capsys, argv, truncated):
+    code, report = run_cli(capsys, "overlaps", *argv)
+    assert code == 0
+    result = report["result"]
+    assert result["n_cut"] == N_CUT_MAX
+    for k, tail in enumerate(result["tail_mass"]):
+        assert (tail >= 1e-12) == (k in truncated), result["tail_mass"]
+    for key, pair in {"s12": {0, 1}, "s13": {0, 2}, "s23": {1, 2}}.items():
+        entry = result["gram"][key]
+        assert (entry["numeric"] is None) == bool(pair & truncated), key
+        assert (entry["discrepancy"] is None) == (entry["numeric"] is None)
 
 
 def test_raw_decoy_amplitude_beyond_float_range_exit_2(capsys):
@@ -417,14 +457,18 @@ def test_domain_fuzz_overlaps_usd_eve(capsys):
         "orthogonal": [],
         "raw": ["--set", "decoy.amplitudes=[[0, 0], [0, 0], [1, 0]]"],
     }
-    for command in ("overlaps", "usd", "eve"):
-        for kind, extra in decoys.items():
-            for alpha in np.exp(rng.uniform(math.log(0.05), math.log(60.0), 3)).tolist():
+    for kind, extra in decoys.items():
+        for alpha in np.exp(rng.uniform(math.log(0.05), math.log(60.0), 3)).tolist():
+            codes = {}
+            for command in ("overlaps", "usd", "eve"):
                 argv = [command, "--set", f"alpha={alpha!r}", "--set", f"decoy.kind={kind}", *extra]
-                code = main(argv)
+                codes[command] = main(argv)
                 out = capsys.readouterr().out
-                assert code in (0, 2, 3), argv
-                if code in (0, 3):
+                assert codes[command] in (0, 2, 3), argv
+                if codes[command] in (0, 3):
                     jsonschema.validate(json.loads(out), SCHEMA)
-                if command == "usd" and kind == "cat":
-                    assert code == 3, argv
+            if kind == "cat":
+                assert codes["usd"] == 3, alpha
+            # the Fock check column never rejects what the exact Gram matrix accepts
+            if codes["usd"] in (0, 3):
+                assert codes["overlaps"] == 0, (kind, alpha)

@@ -19,9 +19,11 @@ from usdguard.states import (
     gram_from_preps,
     inner_product,
     orthogonal_decoy_prep,
+    raw_prep,
     realize,
     squeezed_prep,
 )
+from usdguard.tolerances import N_CUT_MAX
 
 EXP_M0125 = 0.8824969025845955  # exp(-0.125)
 EXP_M05 = 0.6065306597126334  # exp(-0.5)
@@ -160,6 +162,11 @@ def test_gram_validate_rejects_bad_data():
         GramData(0.9, 0.9, -0.9).validate()  # indefinite
 
 
+def _random_raw_prep(rng, size: int):
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return raw_prep(amps / np.linalg.norm(amps))
+
+
 def test_closed_vs_numeric_overlaps_random():
     # analytic overlaps against brute Fock sums at n_cut = 128
     rng = np.random.default_rng(7)
@@ -172,13 +179,30 @@ def test_closed_vs_numeric_overlaps_random():
         assert abs(inner_product(coh_p, coh_m) - math.exp(-2 * alpha**2)) < 1e-8
         closed = closed_overlap(coherent_prep(alpha), squeezed_prep(r))
         assert abs(inner_product(coh_p, sq) - closed) < 1e-8
+    # every ordered pair of state kinds, unrelated parameters
+    for _ in range(10):
+        alphas, phis = rng.uniform(0.0, 2.0, 3), rng.uniform(0.0, 2 * math.pi, 3)
+        preps = [
+            coherent_prep(float(alphas[0]), float(phis[0])),
+            cat_prep(float(alphas[1]), float(phis[1])),
+            squeezed_prep(float(rng.uniform(-1.5, 1.5))),
+            orthogonal_decoy_prep(float(alphas[2]), float(phis[2])),
+            _random_raw_prep(rng, int(rng.integers(2, 9))),
+        ]
+        vecs = [realize(p) for p in preps]
+        for a, va in zip(preps, vecs):
+            for b, vb in zip(preps, vecs):
+                assert abs(closed_overlap(a, b) - inner_product(va, vb)) < 1e-8, (a.kind, b.kind)
 
 
 def test_gram_closed_forms_match_fock_sums():
-    # the Gram matrix is built from closed forms; auto-grown Fock sums stay its check
+    # the Gram matrix is built from exact entries; auto-grown Fock sums stay its check
+    rng = np.random.default_rng(5)
     for alpha in np.linspace(0.05, 4.0, 9):
         signals = coherent_prep(float(alpha), 0.3), coherent_prep(float(alpha), 0.3 + math.pi)
-        decoys = [cat_prep(float(alpha), 0.3)] + [squeezed_prep(float(r)) for r in np.linspace(0.0, 2.5, 6)]
+        decoys = [cat_prep(float(alpha), 0.3), orthogonal_decoy_prep(float(alpha), 0.3)]
+        decoys += [squeezed_prep(float(r)) for r in np.linspace(0.0, 2.5, 6)]
+        decoys += [raw_prep([0, 0, 1]), _random_raw_prep(rng, 12)]
         for decoy in decoys:
             preps = (*signals, decoy)
             vecs = [realize(p) for p in preps]
@@ -207,8 +231,10 @@ def test_normalization_invariant():
 def test_auto_grow_and_truncation_failure():
     v = fock_coherent(2.0, 0.0, 2)
     assert v.n_cut > 2 and v.tail_mass < 1e-12
-    with pytest.raises(TruncationError):
-        fock_squeezed_vacuum(3.0, 64, n_cut_max=256)
+    with pytest.raises(TruncationError) as failure:
+        fock_squeezed_vacuum(5.0)
+    assert failure.value.vector.n_cut == N_CUT_MAX
+    assert abs(failure.value.vector.tail_mass - 0.388) < 1e-3
 
 
 def test_mean_photon_number():
@@ -225,9 +251,12 @@ def test_squeezed_squeezed_closed_form():
 
 
 def test_orthogonal_decoy_prep():
-    prep = orthogonal_decoy_prep(0.5)
-    g = gram_from_preps(coherent_prep(0.5, 0.0), coherent_prep(0.5, math.pi), prep)
-    assert abs(g.s13) < 1e-12 and abs(g.s23) < 1e-12
+    for phi in (0.0, 0.3):
+        for alpha in np.geomspace(1e-3, 100.0, 61).tolist():
+            prep = orthogonal_decoy_prep(alpha, phi)
+            g = gram_from_preps(coherent_prep(alpha, phi), coherent_prep(alpha, phi + math.pi), prep)
+            assert g.s13 == g.s23 == 0.0, (alpha, phi)
+            assert abs(closed_overlap(prep, prep) - 1.0) < 1e-15
 
 
 def test_fock_vector_requires_min_length():
