@@ -94,27 +94,31 @@ class EveStrategy:
 
 @dataclass(frozen=True)
 class CombinedChannel:
-    """Row-stochastic 3x3 table: rows are inputs 0/1/D, columns 0/1/inconclusive."""
+    """Row-stochastic 3x3 table: rows are inputs 0/1/D, columns 0/1/inconclusive.
 
-    matrix: np.ndarray
+    rows holds the table as float tuples; matrix builds it as an array.
+    """
+
+    rows: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        import numpy as np  # here, so that max_loss and the models load without numpy
-
-        mat = np.asarray(self.matrix, dtype=float)
-        if mat.shape != (3, 3):
+        rows = tuple(tuple(float(x) for x in row) for row in self.rows)
+        if len(rows) != 3 or any(len(row) != 3 for row in rows):
             raise ValueError("channel table must be 3x3")
-        if np.any(mat < -NUM_TOL) or np.any(mat > 1.0 + NUM_TOL):
+        if not all(-NUM_TOL <= x <= 1.0 + NUM_TOL for row in rows for x in row):
             raise ValueError("channel table entries must lie in [0, 1]")
-        if np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-12):
+        if any(abs(sum(row) - 1.0) > 1e-12 for row in rows):
             raise ValueError("channel table rows must sum to 1")
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        import numpy as np  # here, so that the tables and max_loss load without numpy
+
+        return np.array(self.rows)
 
     def as_dict(self) -> dict:
-        return {
-            inp: {out: float(self.matrix[i, j]) for j, out in enumerate(OUTPUT_LABELS)}
-            for i, inp in enumerate(INPUT_LABELS)
-        }
+        return {inp: dict(zip(OUTPUT_LABELS, row)) for inp, row in zip(INPUT_LABELS, self.rows)}
 
 
 def ab_table(m: ChannelModel) -> CombinedChannel:
@@ -259,6 +263,8 @@ def threshold_test(n: int, n_d: int, d: float, d_tilde: float, z: float) -> Thre
         raise ValueError("z must be positive")
     lower = n * d_tilde + z * math.sqrt(n * d_tilde * (1.0 - d_tilde))
     upper = n * d - z * math.sqrt(n * d * (1.0 - d))
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError(f"z = {z!r} overflows the count bounds")
     separated = lower < upper
     return ThresholdVerdict(
         n=n,

@@ -24,9 +24,9 @@ from . import channel as ch
 from .config import ConfigError, load_config, require_int, require_number
 from .tolerances import N_CUT_MAX
 
-# numpy and the modules built on it (states, usd, montecarlo) are imported
-# inside the commands that compute with them, after the command's config
-# is validated: a config error or a maxloss run never pays for the import.
+# states, usd and montecarlo are imported inside the commands that compute
+# with them, after the command's config is validated; numpy loads only on
+# their array paths (Fock vectors, the optimizer's search, the sampler).
 if TYPE_CHECKING:
     from . import states as st
     from . import usd
@@ -57,10 +57,11 @@ def _cplx(z: complex) -> dict:
 
 
 def _tolerances(cfg: dict) -> dict:
-    return {
-        "num_tol": require_number(cfg, "tolerances.num_tol", lo=0.0),
-        "tail_tol": require_number(cfg, "tolerances.tail_tol", lo=0.0),
-    }
+    num_tol = require_number(cfg, "tolerances.num_tol", lo=0.0)
+    tail_tol = require_number(cfg, "tolerances.tail_tol", lo=0.0)
+    if tail_tol == 0.0:  # a truncation is kept only when its tail mass is below tail_tol
+        raise ConfigError("tolerances.tail_tol", "must be > 0, got 0")
+    return {"num_tol": num_tol, "tail_tol": tail_tol}
 
 
 def _signal_params(cfg: dict) -> tuple[float, float, int]:
@@ -297,7 +298,8 @@ def cmd_eve(cfg: dict) -> int:
     masking = None
     if solve.feasible:
         attacked = ch.aeb_table(model, solve.strategy)
-        masking = float(abs(attacked.matrix - honest.matrix).max())
+        pairs = zip(attacked.rows, honest.rows)
+        masking = max(abs(a - h) for row_a, row_h in pairs for a, h in zip(row_a, row_h))
     result = {
         "p_s": p_s,
         "p_d": p_d,

@@ -9,6 +9,9 @@ overlaps have closed forms, the orthogonal decoy's follow from them, and
 a raw vector's overlap is a finite sum over its support.  Truncated Fock
 vectors are realized only as the independent check that the `overlaps`
 report and the tests make.
+
+numpy is imported only by the Fock vectors (raw decoys included) and
+GramData.matrix, so the closed forms load without it.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import fsum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .tolerances import N_CUT_MAX, NUM_TOL, SYMMETRY_TOL, TAIL_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Squeezing beyond this (~1.2e8 mean photons) is outside the model's
 # domain; it also bounds the Fock series that a squeezed vacuum needs.
@@ -52,6 +57,8 @@ class FockVector:
     tail_mass: float = 0.0
 
     def __post_init__(self):
+        import numpy as np
+
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("amplitudes must be a 1-D vector with n_cut >= 1")
@@ -62,9 +69,11 @@ class FockVector:
         return self.amplitudes.size - 1
 
     def norm_sq(self) -> float:
-        return fsum(np.abs(self.amplitudes) ** 2)
+        return fsum(abs(self.amplitudes) ** 2)
 
     def mean_photon_number(self) -> float:
+        import numpy as np
+
         n = np.arange(self.amplitudes.size)
         return fsum(n * np.abs(self.amplitudes) ** 2)
 
@@ -72,6 +81,8 @@ class FockVector:
         """Zero-pad up to n_cut (no-op if already at least that long)."""
         if n_cut <= self.n_cut:
             return self
+        import numpy as np
+
         amps = np.zeros(n_cut + 1, dtype=complex)
         amps[: self.amplitudes.size] = self.amplitudes
         return FockVector(amps, self.tail_mass)
@@ -130,7 +141,7 @@ def squeezed_prep(r: float) -> StatePrep:
 
 
 def raw_prep(amplitudes: np.ndarray) -> StatePrep:
-    return StatePrep(StateKind.RAW, raw=FockVector(np.asarray(amplitudes, complex)))
+    return StatePrep(StateKind.RAW, raw=FockVector(amplitudes))
 
 
 def orthogonal_decoy_prep(alpha: float, phi: float = 0.0) -> StatePrep:
@@ -147,10 +158,14 @@ def cat_norm(alpha: float) -> float:
 def _log_factorials(n: int) -> np.ndarray:
     # per-term lgamma rather than a cumulative log sum: the cumsum error
     # grows with n and would spoil 1e-8 overlap cross-checks at n ~ 4096
+    import numpy as np
+
     return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
 
 
 def _coherent_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
+    import numpy as np
+
     if alpha == 0.0:
         amps = np.zeros(n_cut + 1, dtype=complex)
         amps[0] = 1.0
@@ -162,6 +177,8 @@ def _coherent_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
 
 def _cat_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
     # odd components cancel identically and are stored as exact zeros
+    import numpy as np
+
     coh = _coherent_amplitudes(alpha, phi, n_cut)
     amps = np.zeros(n_cut + 1, dtype=complex)
     amps[::2] = 2.0 * coh[::2] / cat_norm(alpha)
@@ -169,6 +186,8 @@ def _cat_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
 
 
 def _squeezed_amplitudes(r: float, n_cut: int) -> np.ndarray:
+    import numpy as np
+
     amps = np.zeros(n_cut + 1, dtype=complex)
     if r == 0.0:
         amps[0] = 1.0
@@ -217,7 +236,7 @@ def _build_with_auto_grow(build, n_cut, tail_tol, auto_grow) -> FockVector:
     n = n_cut
     while True:
         amps = build(n)
-        tail = max(0.0, 1.0 - fsum(np.abs(amps) ** 2))
+        tail = max(0.0, 1.0 - fsum(abs(amps) ** 2))
         if tail < tail_tol or not auto_grow:
             return FockVector(amps, tail)
         if n >= N_CUT_MAX:
@@ -274,6 +293,8 @@ def fock_cat(
 
 def inner_product(a: FockVector, b: FockVector) -> complex:
     """<a|b> = sum conj(a_n) b_n; the shorter vector is zero-padded."""
+    import numpy as np
+
     n = max(a.n_cut, b.n_cut)
     return complex(np.vdot(a.padded(n).amplitudes, b.padded(n).amplitudes))
 
@@ -309,8 +330,22 @@ def _overlap_coherent_squeezed(b: complex, r: float) -> complex:
 
 
 def _two_photon_overlap(a: StatePrep) -> complex:
-    """<a|2>."""
-    return complex(_amplitudes(a, 2)[2]).conjugate()
+    """<a|2> for every kind but raw.
+
+    <b|2> = e^{-|b|^2/2} conj(b)^2 / sqrt(2) for a coherent |b>, twice
+    that over cat_norm for the cat, tanh(r) / sqrt(2 cosh r) for |0, r>,
+    and sqrt(1 - |<C|2>|^2) for the orthogonal decoy.
+    """
+    if a.kind is StateKind.SQUEEZED_VACUUM:
+        return complex(math.tanh(a.r) / math.sqrt(2.0 * math.cosh(a.r)))
+    a_sq = a.alpha * a.alpha
+    coherent = math.exp(-0.5 * a_sq) * a_sq / math.sqrt(2.0) * cmath.exp(-2j * a.phi)
+    if a.kind is StateKind.COHERENT:
+        return coherent
+    cat = 2.0 * coherent / cat_norm(a.alpha)
+    if a.kind is StateKind.CAT:
+        return cat
+    return complex(math.sqrt(1.0 - abs(cat) ** 2))
 
 
 def closed_overlap(a: StatePrep, b: StatePrep) -> complex:
@@ -324,6 +359,8 @@ def closed_overlap(a: StatePrep, b: StatePrep) -> complex:
     <0,r1|0,r2> = cosh(r1-r2)^{-1/2}.
     """
     if b.kind is StateKind.RAW:
+        import numpy as np
+
         return complex(np.vdot(_amplitudes(a, b.raw.n_cut), b.raw.amplitudes))
     if a.kind is StateKind.RAW:
         return closed_overlap(b, a).conjugate()
@@ -365,6 +402,8 @@ class GramData:
     s23: complex
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
+
         s12, s13, s23 = self.s12, self.s13, self.s23
         return np.array(
             [
@@ -375,14 +414,23 @@ class GramData:
             dtype=complex,
         )
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix())[0])
+    def det(self, shift: float = 0.0) -> float:
+        """det(G + shift I) with its terms summed exactly."""
+        cross = self.s12.conjugate() * self.s13 * self.s23.conjugate()
+        terms = [1.0, 2.0 * cross.real, 3.0 * shift, 3.0 * shift * shift, shift * shift * shift]
+        return fsum(terms + [-(1.0 + shift) * abs(s) ** 2 for s in (self.s12, self.s13, self.s23)])
 
     def validate(self, num_tol: float = NUM_TOL) -> None:
+        """Require lambda_min(G) >= -num_tol.
+
+        That holds iff every principal minor of G + num_tol I is >= 0:
+        the diagonal ones trivially, the 2x2 ones (1 + num_tol)^2 - |Sij|^2
+        and the determinant.
+        """
         for name in ("s12", "s13", "s23"):
             if abs(getattr(self, name)) > 1.0 + num_tol:
                 raise ValueError(f"{name}: |overlap| exceeds 1 (+{num_tol:g})")
-        if self.min_eigenvalue() < -num_tol:
+        if self.det(num_tol) < 0.0:
             raise ValueError("overlap matrix is not positive semidefinite")
 
     def is_symmetric(self) -> bool:

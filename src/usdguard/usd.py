@@ -25,28 +25,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .golden import bisect_last_true, sampled_golden_max
 from .states import GramData
 from .tolerances import GRAM_DET_FLOOR, NUM_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
+
+Vector = tuple[complex, complex, complex]
 
 
 @dataclass(frozen=True)
 class UsdGeometry:
     """Working vectors u_i, reciprocal vectors v_i and the scalars H, K, L, M.
 
-    v-vectors (and u3 when the signals themselves coincide) are None for
-    degenerate geometries.
+    The vectors are complex 3-tuples.  v-vectors (and u3 when the signals
+    themselves coincide) are None for degenerate geometries.
     """
 
-    u1: np.ndarray
-    u2: np.ndarray
-    u3: np.ndarray | None
-    v1: np.ndarray | None
-    v2: np.ndarray | None
-    v3: np.ndarray | None
+    u1: Vector
+    u2: Vector
+    u3: Vector | None
+    v1: Vector | None
+    v2: Vector | None
+    v3: Vector | None
     h: complex
     k: complex
     l: float
@@ -79,18 +83,18 @@ def gram_det(g: GramData) -> float:
     double-precision cancellation floor: the five O(1) terms cannot
     certify a smaller value as nonzero.
     """
-    s12, s13, s23 = g.s12, g.s13, g.s23
-    cross = np.conj(s12) * s13 * np.conj(s23)
-    det = fsum(
-        [
-            1.0,
-            -abs(s12) ** 2,
-            -abs(s13) ** 2,
-            -abs(s23) ** 2,
-            2.0 * cross.real,
-        ]
-    )
-    return _floored(det)
+    return _floored(g.det())
+
+
+def _vector(x: complex, y: complex, z: complex) -> Vector:
+    return complex(x), complex(y), complex(z)
+
+
+def _projector(v: Vector) -> np.ndarray:
+    """|v><v| as a 3x3 array."""
+    import numpy as np
+
+    return np.outer(v, np.conj(v))
 
 
 def build_geometry(g: GramData, num_tol: float = NUM_TOL) -> UsdGeometry:
@@ -104,20 +108,23 @@ def build_geometry(g: GramData, num_tol: float = NUM_TOL) -> UsdGeometry:
     s12, s13, s23 = g.s12, g.s13, g.s23
     l = math.sqrt(_floored(1.0 - abs(s12) ** 2))
     h = s12 * s23 - s13
-    k = s23 - np.conj(s12) * s13
+    k = s23 - s12.conjugate() * s13
     m = math.sqrt(gram_det(g))
 
-    u1 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    u2 = np.array([s12, l, 0.0], dtype=complex)
+    u1 = _vector(1.0, 0.0, 0.0)
+    u2 = _vector(s12, l, 0.0)
     if l == 0.0:
         return UsdGeometry(u1, u2, None, None, None, None, h, k, l, m, True)
-    u3 = np.array([s13, k / l, m / l], dtype=complex)
+    # complex entries are scaled by reciprocals, as numpy's complex-by-real
+    # division rounds, so reports match the array arithmetic bit for bit
+    inv_l = 1.0 / l
+    u3 = _vector(s13, k * inv_l, m / l)
     if m == 0.0:
         return UsdGeometry(u1, u2, u3, None, None, None, h, k, l, m, True)
-
-    v1 = np.array([1.0, -np.conj(s12) / l, np.conj(h) / (l * m)], dtype=complex)
-    v2 = np.array([0.0, 1.0 / l, -np.conj(k) / (l * m)], dtype=complex)
-    v3 = np.array([0.0, 0.0, l / m], dtype=complex)
+    inv_lm = 1.0 / (l * m)
+    v1 = _vector(1.0, -s12.conjugate() * inv_l, h.conjugate() * inv_lm)
+    v2 = _vector(0.0, inv_l, -k.conjugate() * inv_lm)
+    v3 = _vector(0.0, 0.0, l / m)
     return UsdGeometry(u1, u2, u3, v1, v2, v3, h, k, l, m, False)
 
 
@@ -128,8 +135,10 @@ def build_a0(geom: UsdGeometry, p_s: float, p_d: float, num_tol: float = NUM_TOL
     for name, p in (("p_s", p_s), ("p_d", p_d)):
         if not (-num_tol <= p <= 1.0 + num_tol):
             raise ValueError(f"{name} must lie in [0, 1]")
-    proj = np.outer(geom.v1, geom.v1.conj()) + np.outer(geom.v2, geom.v2.conj())
-    return np.eye(3, dtype=complex) - p_s * proj - p_d * np.outer(geom.v3, geom.v3.conj())
+    import numpy as np
+
+    proj = _projector(geom.v1) + _projector(geom.v2)
+    return np.eye(3, dtype=complex) - p_s * proj - p_d * _projector(geom.v3)
 
 
 def _require_symmetric(g: GramData) -> tuple[float, float]:
@@ -201,9 +210,10 @@ def optimize_usd(
         return UsdSolution(0.0, 0.0, 1.0, 1.0, False, True, nu)
     s12, _ = _require_symmetric(g)
     delta = gram_delta(g)
+    import numpy as np
 
-    b_op = np.outer(geom.v1, geom.v1.conj()) + np.outer(geom.v2, geom.v2.conj())
-    c_op = np.outer(geom.v3, geom.v3.conj())
+    b_op = _projector(geom.v1) + _projector(geom.v2)
+    c_op = _projector(geom.v3)
     eye = np.eye(3, dtype=complex)
 
     def min_eig(p_s: float, p_d: float) -> float:

@@ -51,8 +51,8 @@ def grid_oracle(
     at every grid point, batched row by row.
     """
     geom = build_geometry(gram)
-    b_op = np.outer(geom.v1, geom.v1.conj()) + np.outer(geom.v2, geom.v2.conj())
-    c_op = np.outer(geom.v3, geom.v3.conj())
+    b_op = np.outer(geom.v1, np.conj(geom.v1)) + np.outer(geom.v2, np.conj(geom.v2))
+    c_op = np.outer(geom.v3, np.conj(geom.v3))
     eye = np.eye(3, dtype=complex)
     n = round(1.0 / step)
     p_s = np.linspace(0.0, 1.0, n + 1)

@@ -219,6 +219,8 @@ def test_threshold_validates_inputs():
         threshold_test(100, 0, 0.01, 0.02, 5.0)
     with pytest.raises(ValueError):
         threshold_test(100, 0, 0.02, 0.01, 0.0)
+    with pytest.raises(ValueError, match="overflows the count bounds"):
+        threshold_test(10**4, 0, 0.02, 0.01, 1e308)
 
 
 def test_max_loss_examples():

@@ -389,8 +389,11 @@ print(json.dumps([code, "numpy" in sys.modules, err.getvalue()]))
 
 MU_SWEEP = 'sweep={"param": "mu", "start": 0.05, "stop": 1.0, "steps": 20}'
 R_SWEEP = '{"param": "r", "start": 0.2, "stop": 1.0, "steps": 3}'
+EVE_MASKED = ["eve", "--config", "configs/eve_masked.json"]
 
 
+# Config errors, maxloss, the cat decoy's degenerate usd/eve and eve on a
+# given (p_s, p_d) are closed forms: none of them loads numpy.
 NO_NUMPY_CASES = [
     ("maxloss", ["maxloss"], 0, None),
     ("maxloss-infeasible", ["maxloss", "--set", "loss.p_d=0.2"], 3, None),
@@ -421,6 +424,12 @@ NO_NUMPY_CASES = [
         2,
         "sweep.steps",
     ),
+    ("tail-tol-0", ["overlaps", "--set", "tolerances.tail_tol=0"], 2, "tolerances.tail_tol"),
+    ("usd-cat-honest", ["usd", "--config", "configs/honest.json"], 3, None),
+    ("eve-cat-honest", ["eve", "--config", "configs/honest.json"], 3, None),
+    ("usd-cat-alpha-40", ["usd", "--set", "alpha=40"], 3, None),
+    ("eve-given-feasible", [*EVE_MASKED, "--set", "eve.p_s=0.5", "--set", "eve.p_d=0.03"], 0, None),
+    ("eve-given-p-d-below-d", [*EVE_MASKED, "--set", "eve.p_s=0.5", "--set", "eve.p_d=0.01"], 3, None),
 ]
 
 
@@ -432,6 +441,13 @@ def test_config_errors_and_maxloss_never_load_numpy(tmp_path, argv, expect, fiel
     assert "Traceback" not in err
     if field is not None:
         assert err.startswith(f"config error: {field}")
+
+
+def test_non_degenerate_usd_loads_numpy():
+    # the optimizer's search for a decoy outside the signal span is where numpy starts
+    argv = ["usd", "--set", "decoy.kind=orthogonal"]
+    code, numpy_loaded, err = json.loads(_child(_NO_NUMPY_CHILD, json.dumps(argv)).splitlines()[-1])
+    assert (code, numpy_loaded, err) == (0, True, "")
 
 
 @pytest.mark.parametrize(
@@ -446,6 +462,17 @@ def test_sweep_grid_is_linspace_bit_for_bit(start, stop, steps):
     cfg = {"sweep": {"param": "mu", "start": start, "stop": stop, "steps": steps}}
     _, values = _sweep_values(cfg, ("mu",))
     assert [v.hex() for v in values] == [v.hex() for v in np.linspace(start, stop, steps).tolist()]
+
+
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+
+def _validate_strict(out: str) -> None:
+    """The report parses as strict JSON (no NaN or Infinity) and fits the schema."""
+    def reject(constant):
+        raise ValueError(f"non-finite {constant} in report")
+
+    VALIDATOR.validate(json.loads(out, parse_constant=reject))
 
 
 def test_domain_fuzz_overlaps_usd_eve(capsys):
@@ -466,9 +493,38 @@ def test_domain_fuzz_overlaps_usd_eve(capsys):
                 out = capsys.readouterr().out
                 assert codes[command] in (0, 2, 3), argv
                 if codes[command] in (0, 3):
-                    jsonschema.validate(json.loads(out), SCHEMA)
+                    _validate_strict(out)
             if kind == "cat":
                 assert codes["usd"] == 3, alpha
             # the Fock check column never rejects what the exact Gram matrix accepts
             if codes["usd"] in (0, 3):
                 assert codes["overlaps"] == 0, (kind, alpha)
+
+    # simulate and maxloss at seeded extremes of every numeric input
+    def pick(pool):
+        return pool[int(rng.integers(len(pool)))]
+
+    unit = [0.0, 5e-324, 1e-300, 1e-12, 0.02, 0.5, 1.0 - 1e-16, 1.0]
+    nus = [5e-324, 1e-300, 1e-9, 0.01, 0.5, 1.0 - 1e-16]
+    n_pulses = [1, 2, 10**6, 10**18, 2**63 - 1, 2**63]
+    zs = [5e-324, 1.0, 5.0, 40.0, 1e300, 1.7e308]
+    mus = [5e-324, 1e-300, 1e-3, 0.5, 1.0, 1e300, 1.7e308, 0.0, -1.0]
+    for i in range(120):
+        if i % 2:
+            argv = ["maxloss", "--set", f"loss.mu={pick(mus)!r}"]
+            argv += [f"--set=loss.{key}={pick(unit)!r}" for key in ("eta_b", "eta_d", "p_d")]
+        else:
+            argv = ["simulate", "--set", f"nu={pick(nus)!r}", "--set", f"simulation.n_pulses={pick(n_pulses)}"]
+            argv += ["--set", f"simulation.z={pick(zs)!r}"]
+            if i % 3 == 1:
+                eve = {"solve": True, "p_s": pick(unit), "p_d": pick(unit)}
+                argv += ["--set", "eve=" + json.dumps(eve)]
+            elif i % 3 == 2:
+                fields = ("p_e", "p_s", "p_d", "g_e", "e_e", "d0_e", "d1_e")
+                argv += ["--set", "eve=" + json.dumps({key: pick(unit) for key in fields})]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in captured.err
+        if code in (0, 3):
+            _validate_strict(captured.out)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import random_unit_vectors_gram
 from usdguard.states import (
     GRAM_PAIRS,
     FockVector,
@@ -23,7 +24,7 @@ from usdguard.states import (
     realize,
     squeezed_prep,
 )
-from usdguard.tolerances import N_CUT_MAX
+from usdguard.tolerances import N_CUT_MAX, NUM_TOL
 
 EXP_M0125 = 0.8824969025845955  # exp(-0.125)
 EXP_M05 = 0.6065306597126334  # exp(-0.5)
@@ -160,6 +161,39 @@ def test_gram_validate_rejects_bad_data():
         GramData(1.2, 0.0, 0.0).validate()
     with pytest.raises(ValueError):
         GramData(0.9, 0.9, -0.9).validate()  # indefinite
+
+
+def _shifted(g: GramData, c: float) -> GramData:
+    """(1 + c) G - c I: the unit diagonal stays and every eigenvalue moves to (1 + c) lam - c."""
+    return GramData(*((1.0 + c) * s for s in (g.s12, g.s13, g.s23)))
+
+
+def test_psd_rule_matches_eigvalsh():
+    # validate's principal-minor rule against lambda_min(G) >= -num_tol
+    rng = np.random.default_rng(2029)
+    grams = []
+    for _ in range(1000):
+        g = random_unit_vectors_gram(rng)
+        lam = np.linalg.eigvalsh(g.matrix())[0]
+        # also shifted to lambda_min = -NUM_TOL (1 -+ 1e-3)
+        grams += [g] + [_shifted(g, (lam + NUM_TOL * (1.0 + d)) / (1.0 - lam)) for d in (-1e-3, 1e-3)]
+    for _ in range(200):
+        # rank-2 unit-diagonal G0: lambda_min((1 + c) G0 - c I) = -c
+        v = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        g0 = GramData(*(complex(np.vdot(v[i], v[j])) for i, j in GRAM_PAIRS.values()))
+        grams += [_shifted(g0, NUM_TOL * (1.0 + d)) for d in (-1e-3, 1e-3)]
+    verdicts = []
+    for g in grams:
+        expected = bool(np.linalg.eigvalsh(g.matrix())[0] >= -NUM_TOL)
+        try:
+            g.validate(NUM_TOL)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expected, g
+        verdicts.append(accepted)
+    assert verdicts.count(False) == 1200 and verdicts.count(True) == 2200
 
 
 def _random_raw_prep(rng, size: int):
