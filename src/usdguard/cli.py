@@ -24,9 +24,9 @@ from . import channel as ch
 from .config import ConfigError, load_config, require_int, require_number
 from .tolerances import N_CUT_MAX
 
-# states, usd and montecarlo are imported inside the commands that compute
-# with them, after the command's config is validated; numpy loads only on
-# their array paths (Fock vectors, the optimizer's search, the sampler).
+# states, fock, usd and montecarlo are imported inside the commands that
+# compute with them, after the command's config is validated; numpy loads
+# only with fock, the optimizer's search and the sampler.
 if TYPE_CHECKING:
     from . import states as st
     from . import usd
@@ -97,8 +97,10 @@ def _preps(cfg: dict, alpha: float, phi: float) -> tuple[st.StatePrep, ...]:
     amps = cfg["decoy"].get("amplitudes")
     if not isinstance(amps, list) or len(amps) < 2:
         raise ConfigError("decoy.amplitudes", "raw decoy requires a list of [re, im] pairs")
+    from . import fock
+
     with _as_config_error("decoy.amplitudes", TypeError, IndexError, OverflowError):
-        return *signals, st.raw_prep([complex(a[0], a[1]) for a in amps])
+        return *signals, fock.raw_prep([complex(a[0], a[1]) for a in amps])
 
 
 def _gram(preps: tuple[st.StatePrep, ...], tols: dict) -> st.GramData:
@@ -190,6 +192,7 @@ def cmd_overlaps(cfg: dict) -> int:
     tols = _tolerances(cfg)
     preps = _preps(cfg, alpha, phi)
     gram = _gram(preps, tols)
+    from . import fock
     from . import states as st
 
     # the numeric column is the independent Fock-space check of the exact
@@ -197,8 +200,8 @@ def cmd_overlaps(cfg: dict) -> int:
     vecs, truncated = [], set()
     for index, prep in enumerate(preps):
         try:
-            vecs.append(st.realize(prep, n_cut=n_cut, tail_tol=tols["tail_tol"]))
-        except st.TruncationError as exc:
+            vecs.append(fock.realize(prep, n_cut=n_cut, tail_tol=tols["tail_tol"]))
+        except fock.TruncationError as exc:
             vecs.append(exc.vector)
             truncated.add(index)
     result = {
@@ -206,7 +209,7 @@ def cmd_overlaps(cfg: dict) -> int:
         "tail_mass": [v.tail_mass for v in vecs],
         "gram": {
             key: _overlap_entry(
-                None if truncated & {i, j} else st.inner_product(vecs[i], vecs[j]), getattr(gram, key)
+                None if truncated & {i, j} else fock.inner_product(vecs[i], vecs[j]), getattr(gram, key)
             )
             for key, (i, j) in st.GRAM_PAIRS.items()
         },

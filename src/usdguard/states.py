@@ -1,4 +1,4 @@
-"""Protocol states, their exact overlaps and truncated Fock vectors.
+"""Protocol states and their exact overlaps.
 
 The two signal states are weak coherent pulses |alpha e^{i phi}> and
 |-alpha e^{i phi}>; the decoy is either an even (Schroedinger-cat)
@@ -6,12 +6,13 @@ superposition of the two, a squeezed vacuum |0, r>, the two-photon state
 with the cat projected out (orthogonal to both signals), or a raw
 amplitude vector.  Every Gram entry is exact: coherent, cat and squeezed
 overlaps have closed forms, the orthogonal decoy's follow from them, and
-a raw vector's overlap is a finite sum over its support.  Truncated Fock
-vectors are realized only as the independent check that the `overlaps`
-report and the tests make.
+a raw vector's overlap is a finite sum over its support.
 
-numpy is imported only by the Fock vectors (raw decoys included) and
-GramData.matrix, so the closed forms load without it.
+Truncated Fock vectors, raw decoys among them, live in `fock`, the one
+numpy module of the state model.  This module imports it only for a raw
+decoy's overlaps and for the Fock names it forwards (FOCK_NAMES), and
+imports numpy only in GramData.matrix, so the closed forms load without
+numpy.
 """
 
 from __future__ import annotations
@@ -20,72 +21,41 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import fsum
 from typing import TYPE_CHECKING
 
-from .tolerances import N_CUT_MAX, NUM_TOL, SYMMETRY_TOL, TAIL_TOL
+from .tolerances import NUM_TOL, SYMMETRY_TOL
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .fock import FockVector
 
 # Squeezing beyond this (~1.2e8 mean photons) is outside the model's
 # domain; it also bounds the Fock series that a squeezed vacuum needs.
 R_MAX = 10.0
 
+# Public names of `fock` that states.<name> still reaches (bench/tracing.py
+# looks realize and the fock_* builders up here); resolved on first use, so
+# that importing states does not load numpy.
+FOCK_NAMES = (
+    "FockVector",
+    "TruncationError",
+    "fock_cat",
+    "fock_coherent",
+    "fock_squeezed_vacuum",
+    "inner_product",
+    "raw_prep",
+    "realize",
+)
 
-class TruncationError(RuntimeError):
-    """Raised when the tail mass is still tail_tol or more at N_CUT_MAX.
 
-    vector is the truncation reached, with its tail mass.
-    """
+def __getattr__(name: str):
+    if name in FOCK_NAMES:
+        from . import fock
 
-    def __init__(self, vector: FockVector, tail_tol: float):
-        super().__init__(f"tail mass {vector.tail_mass:.3e} >= {tail_tol:.1e} at n_cut={vector.n_cut}")
-        self.vector = vector
-
-
-@dataclass(frozen=True)
-class FockVector:
-    """Probability amplitudes over photon numbers 0..n_cut.
-
-    tail_mass is the amplitude-squared mass of the discarded n > n_cut
-    part of the exact state.
-    """
-
-    amplitudes: np.ndarray
-    tail_mass: float = 0.0
-
-    def __post_init__(self):
-        import numpy as np
-
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size < 2:
-            raise ValueError("amplitudes must be a 1-D vector with n_cut >= 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def n_cut(self) -> int:
-        return self.amplitudes.size - 1
-
-    def norm_sq(self) -> float:
-        return fsum(abs(self.amplitudes) ** 2)
-
-    def mean_photon_number(self) -> float:
-        import numpy as np
-
-        n = np.arange(self.amplitudes.size)
-        return fsum(n * np.abs(self.amplitudes) ** 2)
-
-    def padded(self, n_cut: int) -> "FockVector":
-        """Zero-pad up to n_cut (no-op if already at least that long)."""
-        if n_cut <= self.n_cut:
-            return self
-        import numpy as np
-
-        amps = np.zeros(n_cut + 1, dtype=complex)
-        amps[: self.amplitudes.size] = self.amplitudes
-        return FockVector(amps, self.tail_mass)
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class StateKind(str, Enum):
@@ -140,10 +110,6 @@ def squeezed_prep(r: float) -> StatePrep:
     return StatePrep(StateKind.SQUEEZED_VACUUM, r=r)
 
 
-def raw_prep(amplitudes: np.ndarray) -> StatePrep:
-    return StatePrep(StateKind.RAW, raw=FockVector(amplitudes))
-
-
 def orthogonal_decoy_prep(alpha: float, phi: float = 0.0) -> StatePrep:
     """Decoy (|2> - <C|2> |C>) / nu, orthogonal to both signal states (C: the even cat)."""
     return StatePrep(StateKind.ORTHOGONAL, alpha=alpha, phi=phi)
@@ -152,171 +118,6 @@ def orthogonal_decoy_prep(alpha: float, phi: float = 0.0) -> StatePrep:
 def cat_norm(alpha: float) -> float:
     """Normalization sqrt(2 (1 + exp(-2 alpha^2))) of the even superposition."""
     return math.sqrt(2.0 * (1.0 + math.exp(-2.0 * alpha * alpha)))
-
-
-@lru_cache(maxsize=32)
-def _log_factorials(n: int) -> np.ndarray:
-    # per-term lgamma rather than a cumulative log sum: the cumsum error
-    # grows with n and would spoil 1e-8 overlap cross-checks at n ~ 4096
-    import numpy as np
-
-    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-
-
-def _coherent_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
-    import numpy as np
-
-    if alpha == 0.0:
-        amps = np.zeros(n_cut + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    n = np.arange(n_cut + 1)
-    log_mag = -0.5 * alpha * alpha + n * math.log(alpha) - 0.5 * _log_factorials(n_cut)
-    return np.exp(log_mag) * np.exp(1j * phi * n)
-
-
-def _cat_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
-    # odd components cancel identically and are stored as exact zeros
-    import numpy as np
-
-    coh = _coherent_amplitudes(alpha, phi, n_cut)
-    amps = np.zeros(n_cut + 1, dtype=complex)
-    amps[::2] = 2.0 * coh[::2] / cat_norm(alpha)
-    return amps
-
-
-def _squeezed_amplitudes(r: float, n_cut: int) -> np.ndarray:
-    import numpy as np
-
-    amps = np.zeros(n_cut + 1, dtype=complex)
-    if r == 0.0:
-        amps[0] = 1.0
-        return amps
-    t = math.tanh(r)
-    n_pairs = n_cut // 2
-    n = np.arange(n_pairs + 1)
-    logfact = _log_factorials(2 * n_pairs)
-    # amplitude at 2n: (cosh r)^{-1/2} sqrt((2n)!)/(2^n n!) (tanh r)^n, via logs
-    log_mag = (
-        -0.5 * math.log(math.cosh(r))
-        + 0.5 * logfact[2 * n]
-        - n * math.log(2.0)
-        - logfact[n]
-        + n * math.log(abs(t))
-    )
-    sign = np.where((t < 0) & (n % 2 == 1), -1.0, 1.0)
-    amps[2 * n] = sign * np.exp(log_mag)
-    return amps
-
-
-def _orthogonal_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
-    cat = _cat_amplitudes(alpha, phi, max(n_cut, 2))
-    c2 = cat[2].conjugate()  # <C|2>
-    amps = -c2 * cat
-    amps[2] += 1.0
-    return amps[: n_cut + 1] / math.sqrt(1.0 - abs(c2) ** 2)
-
-
-def _amplitudes(prep: StatePrep, n_cut: int) -> np.ndarray:
-    """Amplitudes 0..n_cut of prep's exact state (a raw vector is cut or zero-padded)."""
-    if prep.kind is StateKind.COHERENT:
-        return _coherent_amplitudes(prep.alpha, prep.phi, n_cut)
-    if prep.kind is StateKind.CAT:
-        return _cat_amplitudes(prep.alpha, prep.phi, n_cut)
-    if prep.kind is StateKind.SQUEEZED_VACUUM:
-        return _squeezed_amplitudes(prep.r, n_cut)
-    if prep.kind is StateKind.ORTHOGONAL:
-        return _orthogonal_amplitudes(prep.alpha, prep.phi, n_cut)
-    return prep.raw.padded(n_cut).amplitudes[: n_cut + 1]
-
-
-def _build_with_auto_grow(build, n_cut, tail_tol, auto_grow) -> FockVector:
-    if n_cut < 1:
-        raise ValueError("n_cut must be >= 1")
-    n = n_cut
-    while True:
-        amps = build(n)
-        tail = max(0.0, 1.0 - fsum(abs(amps) ** 2))
-        if tail < tail_tol or not auto_grow:
-            return FockVector(amps, tail)
-        if n >= N_CUT_MAX:
-            raise TruncationError(FockVector(amps, tail), tail_tol)
-        n = min(2 * n, N_CUT_MAX)
-
-
-def fock_coherent(
-    alpha: float,
-    phi: float = 0.0,
-    n_cut: int = 64,
-    tail_tol: float = TAIL_TOL,
-    auto_grow: bool = True,
-) -> FockVector:
-    """Coherent state |alpha e^{i phi}>: amplitude_n = e^{-a^2/2} (a e^{i phi})^n / sqrt(n!).
-
-    The truncation grows in powers of two, up to N_CUT_MAX, until the
-    discarded tail mass drops below tail_tol (unless auto_grow is disabled).
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return _build_with_auto_grow(lambda n: _coherent_amplitudes(alpha, phi, n), n_cut, tail_tol, auto_grow)
-
-
-def fock_squeezed_vacuum(
-    r: float,
-    n_cut: int = 64,
-    tail_tol: float = TAIL_TOL,
-    auto_grow: bool = True,
-) -> FockVector:
-    """Squeezed vacuum |0, r>: only even photon numbers are populated.
-
-    amplitude_{2n} = (cosh r)^{-1/2} sqrt((2n)!)/(2^n n!) (tanh r)^n.
-    Real squeezing parameter only; |r| < R_MAX guards norm convergence
-    of the truncated series.
-    """
-    if not abs(r) < R_MAX:
-        raise ValueError(f"squeezing parameter must satisfy |r| < {R_MAX:g}")
-    return _build_with_auto_grow(lambda n: _squeezed_amplitudes(r, n), n_cut, tail_tol, auto_grow)
-
-
-def fock_cat(
-    alpha: float,
-    phi: float = 0.0,
-    n_cut: int = 64,
-    tail_tol: float = TAIL_TOL,
-    auto_grow: bool = True,
-) -> FockVector:
-    """Even cat state (|alpha e^{i phi}> + |-alpha e^{i phi}>) / sqrt(2(1+e^{-2 a^2}))."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return _build_with_auto_grow(lambda n: _cat_amplitudes(alpha, phi, n), n_cut, tail_tol, auto_grow)
-
-
-def inner_product(a: FockVector, b: FockVector) -> complex:
-    """<a|b> = sum conj(a_n) b_n; the shorter vector is zero-padded."""
-    import numpy as np
-
-    n = max(a.n_cut, b.n_cut)
-    return complex(np.vdot(a.padded(n).amplitudes, b.padded(n).amplitudes))
-
-
-def realize(
-    prep: StatePrep,
-    n_cut: int = 64,
-    tail_tol: float = TAIL_TOL,
-    auto_grow: bool = True,
-) -> FockVector:
-    """Materialize a StatePrep as a truncated Fock vector."""
-    if prep.kind is StateKind.COHERENT:
-        return fock_coherent(prep.alpha, prep.phi, n_cut, tail_tol, auto_grow)
-    if prep.kind is StateKind.CAT:
-        return fock_cat(prep.alpha, prep.phi, n_cut, tail_tol, auto_grow)
-    if prep.kind is StateKind.SQUEEZED_VACUUM:
-        return fock_squeezed_vacuum(prep.r, n_cut, tail_tol, auto_grow)
-    if prep.kind is StateKind.ORTHOGONAL:
-        return _build_with_auto_grow(
-            lambda n: _orthogonal_amplitudes(prep.alpha, prep.phi, n), n_cut, tail_tol, auto_grow
-        )
-    return prep.raw
 
 
 def _overlap_coherent_coherent(b1: complex, b2: complex) -> complex:
@@ -359,9 +160,9 @@ def closed_overlap(a: StatePrep, b: StatePrep) -> complex:
     <0,r1|0,r2> = cosh(r1-r2)^{-1/2}.
     """
     if b.kind is StateKind.RAW:
-        import numpy as np
+        from .fock import raw_overlap
 
-        return complex(np.vdot(_amplitudes(a, b.raw.n_cut), b.raw.amplitudes))
+        return raw_overlap(a, b.raw)
     if a.kind is StateKind.RAW:
         return closed_overlap(b, a).conjugate()
     if b.kind is StateKind.ORTHOGONAL:
@@ -414,23 +215,30 @@ class GramData:
             dtype=complex,
         )
 
-    def det(self, shift: float = 0.0) -> float:
-        """det(G + shift I) with its terms summed exactly."""
+    def det(self) -> float:
+        """det(G) with its O(1) terms summed exactly."""
         cross = self.s12.conjugate() * self.s13 * self.s23.conjugate()
-        terms = [1.0, 2.0 * cross.real, 3.0 * shift, 3.0 * shift * shift, shift * shift * shift]
-        return fsum(terms + [-(1.0 + shift) * abs(s) ** 2 for s in (self.s12, self.s13, self.s23)])
+        return fsum([1.0, 2.0 * cross.real] + [-abs(s) ** 2 for s in (self.s12, self.s13, self.s23)])
 
     def validate(self, num_tol: float = NUM_TOL) -> None:
-        """Require lambda_min(G) >= -num_tol.
+        """Require lambda_min(G) >= -num_tol, i.e. G + num_tol I PSD.
 
-        That holds iff every principal minor of G + num_tol I is >= 0:
-        the diagonal ones trivially, the 2x2 ones (1 + num_tol)^2 - |Sij|^2
-        and the determinant.
+        Eliminating the first row on the pivot d = 1 + num_tol leaves the
+        2x2 Schur complement S, and G + num_tol I is PSD iff S is.  Its
+        diagonal d - |S1j|^2 / d is >= 0 by the |overlap| checks, so
+        det S >= 0 decides.  The rounding of S is that of a perturbation
+        of G by a few ulps, as in an eigenvalue solver.  det(G + num_tol I)
+        itself would not do: with two small eigenvalues (a near-vacuum cat
+        decoy) it falls below the rounding of its O(1) terms.
         """
         for name in ("s12", "s13", "s23"):
             if abs(getattr(self, name)) > 1.0 + num_tol:
                 raise ValueError(f"{name}: |overlap| exceeds 1 (+{num_tol:g})")
-        if self.det(num_tol) < 0.0:
+        d = 1.0 + num_tol
+        s22 = d - abs(self.s12) ** 2 / d
+        s33 = d - abs(self.s13) ** 2 / d
+        s23 = self.s23 - self.s12.conjugate() * self.s13 / d
+        if s22 * s33 < abs(s23) ** 2:
             raise ValueError("overlap matrix is not positive semidefinite")
 
     def is_symmetric(self) -> bool:

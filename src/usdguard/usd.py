@@ -90,11 +90,14 @@ def _vector(x: complex, y: complex, z: complex) -> Vector:
     return complex(x), complex(y), complex(z)
 
 
-def _projector(v: Vector) -> np.ndarray:
-    """|v><v| as a 3x3 array."""
+def _a0_terms(geom: UsdGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I, v1 v1^+ + v2 v2^+ and v3 v3^+ as arrays: A0 = I - P_S B - P_D C."""
     import numpy as np
 
-    return np.outer(v, np.conj(v))
+    def projector(v: Vector) -> np.ndarray:
+        return np.outer(v, np.conj(v))
+
+    return np.eye(3, dtype=complex), projector(geom.v1) + projector(geom.v2), projector(geom.v3)
 
 
 def build_geometry(g: GramData, num_tol: float = NUM_TOL) -> UsdGeometry:
@@ -135,10 +138,8 @@ def build_a0(geom: UsdGeometry, p_s: float, p_d: float, num_tol: float = NUM_TOL
     for name, p in (("p_s", p_s), ("p_d", p_d)):
         if not (-num_tol <= p <= 1.0 + num_tol):
             raise ValueError(f"{name} must lie in [0, 1]")
-    import numpy as np
-
-    proj = _projector(geom.v1) + _projector(geom.v2)
-    return np.eye(3, dtype=complex) - p_s * proj - p_d * _projector(geom.v3)
+    eye, b_op, c_op = _a0_terms(geom)
+    return eye - p_s * b_op - p_d * c_op
 
 
 def _require_symmetric(g: GramData) -> tuple[float, float]:
@@ -212,9 +213,7 @@ def optimize_usd(
     delta = gram_delta(g)
     import numpy as np
 
-    b_op = _projector(geom.v1) + _projector(geom.v2)
-    c_op = _projector(geom.v3)
-    eye = np.eye(3, dtype=complex)
+    eye, b_op, c_op = _a0_terms(geom)
 
     def min_eig(p_s: float, p_d: float) -> float:
         return float(np.linalg.eigvalsh(eye - p_s * b_op - p_d * c_op)[0])

@@ -428,6 +428,8 @@ NO_NUMPY_CASES = [
     ("usd-cat-honest", ["usd", "--config", "configs/honest.json"], 3, None),
     ("eve-cat-honest", ["eve", "--config", "configs/honest.json"], 3, None),
     ("usd-cat-alpha-40", ["usd", "--set", "alpha=40"], 3, None),
+    ("usd-cat-alpha-1e-4", ["usd", "--set", "alpha=1e-4"], 3, None),
+    ("eve-cat-alpha-1e-7", ["eve", "--set", "alpha=1e-7"], 3, None),
     ("eve-given-feasible", [*EVE_MASKED, "--set", "eve.p_s=0.5", "--set", "eve.p_d=0.03"], 0, None),
     ("eve-given-p-d-below-d", [*EVE_MASKED, "--set", "eve.p_s=0.5", "--set", "eve.p_d=0.01"], 3, None),
 ]

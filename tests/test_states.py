@@ -169,7 +169,7 @@ def _shifted(g: GramData, c: float) -> GramData:
 
 
 def test_psd_rule_matches_eigvalsh():
-    # validate's principal-minor rule against lambda_min(G) >= -num_tol
+    # validate's Schur-complement rule against lambda_min(G) >= -num_tol
     rng = np.random.default_rng(2029)
     grams = []
     for _ in range(1000):
@@ -183,6 +183,15 @@ def test_psd_rule_matches_eigvalsh():
         v /= np.linalg.norm(v, axis=1)[:, None]
         g0 = GramData(*(complex(np.vdot(v[i], v[j])) for i, j in GRAM_PAIRS.values()))
         grams += [_shifted(g0, NUM_TOL * (1.0 + d)) for d in (-1e-3, 1e-3)]
+    for alpha in np.logspace(-7, -2, 21).tolist():
+        # near-vacuum decoys: with two small eigenvalues, det(G + NUM_TOL I)
+        # is below the rounding of its O(1) terms
+        signals = coherent_prep(alpha), coherent_prep(alpha, math.pi)
+        for decoy in (cat_prep(alpha), squeezed_prep(alpha), squeezed_prep(alpha * alpha)):
+            preps = (*signals, decoy)
+            g = GramData(*(closed_overlap(preps[i], preps[j]) for i, j in GRAM_PAIRS.values()))
+            lam = np.linalg.eigvalsh(g.matrix())[0]
+            grams += [g] + [_shifted(g, (lam + NUM_TOL * (1.0 + d)) / (1.0 - lam)) for d in (-1e-3, 1e-3)]
     verdicts = []
     for g in grams:
         expected = bool(np.linalg.eigvalsh(g.matrix())[0] >= -NUM_TOL)
@@ -193,7 +202,7 @@ def test_psd_rule_matches_eigvalsh():
             accepted = False
         assert accepted == expected, g
         verdicts.append(accepted)
-    assert verdicts.count(False) == 1200 and verdicts.count(True) == 2200
+    assert verdicts.count(False) == 1263 and verdicts.count(True) == 2326
 
 
 def _random_raw_prep(rng, size: int):
