@@ -22,11 +22,11 @@ from typing import TYPE_CHECKING
 
 from . import channel as ch
 from .config import ConfigError, load_config, require_int, require_number
-from .tolerances import N_CUT_MAX
+from .tolerances import N_CUT_MAX, NUM_TOL_MAX
 
 # states, fock, usd and montecarlo are imported inside the commands that
 # compute with them, after the command's config is validated; numpy loads
-# only with fock, the optimizer's search and the sampler.
+# only with fock (the overlaps check column, raw decoys) and the sampler.
 if TYPE_CHECKING:
     from . import states as st
     from . import usd
@@ -57,7 +57,7 @@ def _cplx(z: complex) -> dict:
 
 
 def _tolerances(cfg: dict) -> dict:
-    num_tol = require_number(cfg, "tolerances.num_tol", lo=0.0)
+    num_tol = require_number(cfg, "tolerances.num_tol", lo=0.0, hi=NUM_TOL_MAX)
     tail_tol = require_number(cfg, "tolerances.tail_tol", lo=0.0)
     if tail_tol == 0.0:  # a truncation is kept only when its tail mass is below tail_tol
         raise ConfigError("tolerances.tail_tol", "must be > 0, got 0")

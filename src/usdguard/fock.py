@@ -90,7 +90,9 @@ def _coherent_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
         return amps
     n = np.arange(n_cut + 1)
     log_mag = -0.5 * alpha * alpha + n * math.log(alpha) - 0.5 * _log_factorials(n_cut)
-    return np.exp(log_mag) * np.exp(1j * phi * n)
+    # the phase is reduced first (exactly, for |phi| < 2 pi): phi * n overflows
+    # to inf for phi near the float maximum, and exp(1j * inf) is nan
+    return np.exp(log_mag) * np.exp(1j * math.fmod(phi, 2.0 * math.pi) * n)
 
 
 def _cat_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:

@@ -7,6 +7,11 @@ values through every module so a run is reproducible from its config.
 # Generic comparison tolerance for well-conditioned double-precision sums.
 NUM_TOL = 1e-10
 
+# Largest num_tol a config may set: the tolerance absorbs rounding, and a
+# larger one would accept overlap matrices and A0 operators that are not
+# positive semidefinite.
+NUM_TOL_MAX = 1e-6
+
 # Maximum Fock-amplitude mass allowed beyond the truncation cutoff.
 TAIL_TOL = 1e-12
 

@@ -17,7 +17,10 @@ The inconclusive-outcome operator is
     A0 = I - P_S (|v1><v1| + |v2><v2|) - P_D |v3><v3|
 
 and the eavesdropper's optimum maximizes (1-nu) P_S + nu P_D over the
-set where A0 stays positive semidefinite.
+set where A0 stays positive semidefinite.  In the symmetric case
+(S13 = S23, real S12) u1 - u2 is orthogonal to the decoy, so A0 splits
+into an odd 1-D block along u1 - u2 and an even 2x2 block; its spectrum
+is closed-form (a0_spectrum) and the optimizer loads no numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .golden import bisect_last_true, sampled_golden_max
 from .states import GramData
@@ -90,16 +93,6 @@ def _vector(x: complex, y: complex, z: complex) -> Vector:
     return complex(x), complex(y), complex(z)
 
 
-def _a0_terms(geom: UsdGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """I, v1 v1^+ + v2 v2^+ and v3 v3^+ as arrays: A0 = I - P_S B - P_D C."""
-    import numpy as np
-
-    def projector(v: Vector) -> np.ndarray:
-        return np.outer(v, np.conj(v))
-
-    return np.eye(3, dtype=complex), projector(geom.v1) + projector(geom.v2), projector(geom.v3)
-
-
 def build_geometry(g: GramData, num_tol: float = NUM_TOL) -> UsdGeometry:
     """Construct the u/v vectors from overlap data.
 
@@ -138,8 +131,12 @@ def build_a0(geom: UsdGeometry, p_s: float, p_d: float, num_tol: float = NUM_TOL
     for name, p in (("p_s", p_s), ("p_d", p_d)):
         if not (-num_tol <= p <= 1.0 + num_tol):
             raise ValueError(f"{name} must lie in [0, 1]")
-    eye, b_op, c_op = _a0_terms(geom)
-    return eye - p_s * b_op - p_d * c_op
+    import numpy as np
+
+    def projector(v: Vector) -> np.ndarray:
+        return np.outer(v, np.conj(v))
+
+    return np.eye(3, dtype=complex) - p_s * (projector(geom.v1) + projector(geom.v2)) - p_d * projector(geom.v3)
 
 
 def _require_symmetric(g: GramData) -> tuple[float, float]:
@@ -189,6 +186,41 @@ def f1(g: GramData, p_s: float) -> float:
     return (p_s - gram_delta(g)) / den
 
 
+def a0_spectrum(geom: UsdGeometry, s12: float) -> Callable[[float, float], tuple[float, float]]:
+    """(smallest eigenvalue, determinant) of A0 as a function of (P_S, P_D).
+
+    Symmetric, non-degenerate geometry only; s12 is the real S12.  The
+    odd eigenvalue along u1 - u2 is 1 - P_S/(1 - S12).  On the even
+    basis e_a = (L, 1 - S12, 0)/sqrt(2(1 - S12)), e_b = (0, 0, 1) the
+    block is [[x, off], [conj(off), y]] with
+
+        x = 1 - P_S/(1 + S12),  y = 1 - 2 P_S |K|^2/(L^2 M^2) - P_D L^2/M^2,
+        |off|^2 = 2 P_S^2 (1 - S12) |K|^2/(L^4 M^2).
+
+    Its eigenvalues are mean -+ rad; the one of larger magnitude is
+    formed without cancellation and the smaller one, for mean > 0, as
+    the block determinant over the larger.  The scalars are computed
+    once per geometry.
+    """
+    l_sq, m_sq, k_sq = geom.l * geom.l, geom.m * geom.m, abs(geom.k) ** 2
+    inv_odd, inv_even = 1.0 / (1.0 - s12), 1.0 / (1.0 + s12)
+    y_s, y_d = 2.0 * k_sq / (l_sq * m_sq), l_sq / m_sq
+    off_ss = 2.0 * (1.0 - s12) * k_sq / (l_sq * l_sq * m_sq)
+
+    def spectrum(p_s: float, p_d: float) -> tuple[float, float]:
+        odd = 1.0 - p_s * inv_odd
+        x = 1.0 - p_s * inv_even
+        y = 1.0 - p_s * y_s - p_d * y_d
+        off_sq = p_s * p_s * off_ss
+        det_even = x * y - off_sq
+        mean = 0.5 * (x + y)
+        rad = math.sqrt(0.25 * (x - y) ** 2 + off_sq)
+        low = det_even / (mean + rad) if mean > 0.0 else mean - rad
+        return min(odd, low), odd * det_even
+
+    return spectrum
+
+
 def optimize_usd(
     g: GramData,
     nu: float,
@@ -199,10 +231,12 @@ def optimize_usd(
     """Maximize (1-nu) P_S + nu P_D subject to A0 being PSD on [0,1]^2.
 
     The search follows the det(A0) = 0 curve P_D = f1(P_S), clipped to
-    the unit box, with a full eigenvalue check at every probe (a zero
-    determinant alone does not certify positivity), plus the box edges
-    where the clip is active.  Degenerate geometry means discrimination
-    is impossible: returns (0, 0, 1).
+    the unit box, plus the box edges where the clip is active.  Every
+    probe is accepted on A0's smallest eigenvalue from the two-block
+    spectrum (a0_spectrum; a zero determinant alone does not certify
+    positivity), which also gives the reported min_eig_a0 and the
+    on_det_zero verdict.  Degenerate geometry means discrimination is
+    impossible: returns (0, 0, 1).
     """
     if not (0.0 < nu < 1.0):
         raise ValueError("nu must lie in (0, 1)")
@@ -211,15 +245,10 @@ def optimize_usd(
         return UsdSolution(0.0, 0.0, 1.0, 1.0, False, True, nu)
     s12, _ = _require_symmetric(g)
     delta = gram_delta(g)
-    import numpy as np
-
-    eye, b_op, c_op = _a0_terms(geom)
-
-    def min_eig(p_s: float, p_d: float) -> float:
-        return float(np.linalg.eigvalsh(eye - p_s * b_op - p_d * c_op)[0])
+    spectrum = a0_spectrum(geom, s12)
 
     def feasible(p_s: float, p_d: float) -> bool:
-        return min_eig(p_s, p_d) >= -num_tol
+        return spectrum(p_s, p_d)[0] >= -num_tol
 
     def pd_on_curve(p_s: float) -> float:
         den = p_s - 1.0 - s12
@@ -263,14 +292,14 @@ def optimize_usd(
             best, best_obj = (p_s, p_d), val
 
     p_s, p_d = best
-    a0 = eye - p_s * b_op - p_d * c_op
+    min_eig, det = spectrum(p_s, p_d)
     p0 = min(1.0, max(0.0, 1.0 - (1.0 - nu) * p_s - nu * p_d))
     return UsdSolution(
         p_s=p_s,
         p_d=p_d,
         p0=p0,
-        min_eig_a0=float(np.linalg.eigvalsh(a0)[0]),
-        on_det_zero=bool(abs(np.linalg.det(a0).real) <= 1e-8),
+        min_eig_a0=min_eig,
+        on_det_zero=abs(det) <= 1e-8,
         degenerate=False,
         nu=nu,
     )

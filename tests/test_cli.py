@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from usdguard.cli import SWEEP_STEPS_MAX, _sweep_values, main
-from usdguard.tolerances import N_CUT_MAX
+from usdguard.states import R_MAX
+from usdguard.tolerances import N_CUT_MAX, NUM_TOL_MAX
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "schema" / "report.schema.json").read_text())
@@ -392,8 +393,10 @@ R_SWEEP = '{"param": "r", "start": 0.2, "stop": 1.0, "steps": 3}'
 EVE_MASKED = ["eve", "--config", "configs/eve_masked.json"]
 
 
-# Config errors, maxloss, the cat decoy's degenerate usd/eve and eve on a
-# given (p_s, p_d) are closed forms: none of them loads numpy.
+# Config errors, maxloss, usd/eve for every decoy but raw (the optimizer's
+# A0 spectrum is closed-form), the usd r-sweep and eve on a given
+# (p_s, p_d) are closed forms: none of them loads numpy.
+SQUEEZED_DESIGN = ["--config", "configs/squeezed_design.json"]
 NO_NUMPY_CASES = [
     ("maxloss", ["maxloss"], 0, None),
     ("maxloss-infeasible", ["maxloss", "--set", "loss.p_d=0.2"], 3, None),
@@ -432,6 +435,14 @@ NO_NUMPY_CASES = [
     ("eve-cat-alpha-1e-7", ["eve", "--set", "alpha=1e-7"], 3, None),
     ("eve-given-feasible", [*EVE_MASKED, "--set", "eve.p_s=0.5", "--set", "eve.p_d=0.03"], 0, None),
     ("eve-given-p-d-below-d", [*EVE_MASKED, "--set", "eve.p_s=0.5", "--set", "eve.p_d=0.01"], 3, None),
+    ("usd-squeezed-design", ["usd", *SQUEEZED_DESIGN], 0, None),
+    ("eve-squeezed-design", ["eve", *SQUEEZED_DESIGN], 3, None),
+    ("usd-orthogonal", ["usd", "--set", "decoy.kind=orthogonal"], 0, None),
+    ("eve-orthogonal", ["eve", "--set", "decoy.kind=orthogonal"], 0, None),
+    ("usd-r-sweep", ["usd", *SQUEEZED_DESIGN, "--set", f"sweep={R_SWEEP}", "--csv", "{tmp}/r.csv"], 0, None),
+    ("num-tol-max", ["usd", *SQUEEZED_DESIGN, "--set", f"tolerances.num_tol={NUM_TOL_MAX!r}"], 0, None),
+    ("num-tol-0.5", ["usd", *SQUEEZED_DESIGN, "--set", "tolerances.num_tol=0.5"], 2, "tolerances.num_tol"),
+    ("num-tol-1e300", ["usd", *SQUEEZED_DESIGN, "--set", "tolerances.num_tol=1e300"], 2, "tolerances.num_tol"),
 ]
 
 
@@ -446,10 +457,12 @@ def test_config_errors_and_maxloss_never_load_numpy(tmp_path, argv, expect, fiel
 
 
 def test_non_degenerate_usd_loads_numpy():
-    # the optimizer's search for a decoy outside the signal span is where numpy starts
-    argv = ["usd", "--set", "decoy.kind=orthogonal"]
-    code, numpy_loaded, err = json.loads(_child(_NO_NUMPY_CHILD, json.dumps(argv)).splitlines()[-1])
-    assert (code, numpy_loaded, err) == (0, True, "")
+    # numpy starts with the Fock vectors (the overlaps check column, a raw
+    # decoy's overlaps) and with the sampler, not with the optimizer
+    raw = ["--set", "decoy.kind=raw", "--set", "decoy.amplitudes=[[0, 0], [0, 0], [1, 0]]"]
+    for argv in (["overlaps", *SQUEEZED_DESIGN], ["simulate"], ["usd", *raw]):
+        code, numpy_loaded, err = json.loads(_child(_NO_NUMPY_CHILD, json.dumps(argv)).splitlines()[-1])
+        assert (code, numpy_loaded, err) == (0, True, ""), argv
 
 
 @pytest.mark.parametrize(
@@ -530,3 +543,25 @@ def test_domain_fuzz_overlaps_usd_eve(capsys):
         assert "Traceback" not in captured.err
         if code in (0, 3):
             _validate_strict(captured.out)
+
+    # overlaps, usd and eve at seeded extremes of the state and tolerance inputs
+    rs = [-math.nextafter(R_MAX, 0.0), -5.0, -5e-324, 0.0, 1e-300, 1e-9, 2.5, math.nextafter(R_MAX, 0.0), R_MAX]
+    phis = [-1.7e308, -math.pi, -5e-324, 0.0, 1e-300, math.pi / 2, 2.0 * math.pi, 1e16, 1.7e308]
+    alphas = [0.0, 5e-324, 1e-7, 0.05, 1.0, 10.0, 60.0]
+    n_cuts = [1, 2, 64, N_CUT_MAX]
+    num_tols = [0.0, 5e-324, 1e-300, 1e-16, 1e-10, NUM_TOL_MAX, math.nextafter(NUM_TOL_MAX, 1.0), 0.5]
+    tail_tols = [5e-324, 1e-300, 1e-16, 1e-12, 0.5, 1.0, 1e300]
+    seen = set()
+    for i in range(90):
+        argv = [("overlaps", "usd", "eve")[i % 3], "--set", f"decoy.kind={pick(['squeezed', 'squeezed', 'orthogonal', 'cat'])}"]
+        argv += ["--set", f"decoy.r={pick(rs)!r}", "--set", f"phi={pick(phis)!r}", "--set", f"alpha={pick(alphas)!r}"]
+        argv += ["--set", f"n_cut={pick(n_cuts)}", "--set", f"tolerances.num_tol={pick(num_tols)!r}"]
+        argv += ["--set", f"tolerances.tail_tol={pick(tail_tols)!r}"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        seen.add(code)
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in captured.err
+        if code in (0, 3):
+            _validate_strict(captured.out)
+    assert seen == {0, 2, 3}

@@ -1,5 +1,6 @@
 """Geometry, determinant and optimizer tests."""
 
+import cmath
 import math
 
 import numpy as np
@@ -12,9 +13,12 @@ from usdguard.states import (
     cat_prep,
     coherent_prep,
     gram_from_preps,
+    orthogonal_decoy_prep,
     squeezed_prep,
 )
+from usdguard.tolerances import GRAM_DET_FLOOR
 from usdguard.usd import (
+    a0_spectrum,
     build_a0,
     build_geometry,
     det_a0_closed,
@@ -176,6 +180,62 @@ def test_f1_curve_zeroes_determinant():
         g = random_symmetric_gram(rng)
         for p in np.linspace(0.0, 1.0, 21):
             assert abs(det_a0_closed(g, float(p), f1(g, float(p)))) < 1e-10
+
+
+def _assert_spectrum_matches_numpy(g: GramData, points, det_verdict: bool = True) -> int:
+    """a0_spectrum against eigvalsh and det of build_a0; returns the points checked."""
+    geom = build_geometry(g)
+    spectrum = a0_spectrum(geom, g.s12.real)
+    for p_s, p_d in points:
+        a0 = build_a0(geom, p_s, p_d)
+        eigs = np.linalg.eigvalsh(a0)
+        min_eig, det = spectrum(p_s, p_d)
+        assert abs(min_eig - eigs[0]) <= 1e-12 * max(1.0, float(np.abs(eigs).max())), (g, p_s, p_d)
+        if det_verdict:  # optimize_usd's on_det_zero
+            assert (abs(det) <= 1e-8) == (abs(np.linalg.det(a0).real) <= 1e-8), (g, p_s, p_d, det)
+    return len(points)
+
+
+def _spectrum_probes(g: GramData, rng) -> list[tuple[float, float]]:
+    """Random points, the odd edge P_S = 1 - S12, the P_S = 0 and P_D = 1
+    edges and the det curve P_D = f1(P_S) on the part inside the box."""
+    s12 = g.s12.real
+    u = [float(x) for x in rng.uniform(0.0, 1.0, 12)]
+    points = [(u[0], u[1]), (u[2], u[3]), (u[4], u[5])]
+    points += [(min(1.0, 1.0 - s12), u[6]), (0.0, u[7]), (u[8], 1.0)]
+    for p_s in (0.0, u[9] * gram_delta(g), u[10] * gram_delta(g), gram_delta(g), u[11]):
+        p_s = min(p_s, 1.0)
+        if 1.0 + s12 - p_s > 1e-9:  # f1's pole, reached only as S12 -> 0
+            points.append((p_s, min(1.0, max(0.0, f1(g, p_s)))))
+    return points
+
+
+def test_a0_spectrum_matches_eigvalsh():
+    # the two-block spectrum the optimizer uses, over the decoys it sees
+    rng = np.random.default_rng(53)
+    checked = 0
+    for i in range(400):
+        alpha = float(np.exp(rng.uniform(math.log(0.05), math.log(10.0))))
+        decoy = squeezed_prep(float(rng.uniform(0.01, 2.5))) if i % 2 else orthogonal_decoy_prep(alpha)
+        g = gram_from_preps(coherent_prep(alpha), coherent_prep(alpha, math.pi), decoy)
+        if not build_geometry(g).degenerate:
+            checked += _assert_spectrum_matches_numpy(g, _spectrum_probes(g, rng))
+    assert checked > 3000
+
+
+def test_a0_spectrum_near_gram_floor():
+    # M^2 a few times GRAM_DET_FLOOR, so ||A0|| ~ 1/M^2 ~ 1e13: the smallest
+    # eigenvalue (the feasibility test) still agrees to 1e-12 ||A0||, but a
+    # determinant within 1e-8 of zero is below either solver's rounding
+    rng = np.random.default_rng(59)
+    for s12 in (0.02, 0.3, 0.6065, 0.95):
+        for factor in (2.0, 5.0, 30.0):
+            t = math.sqrt(0.5 * (1.0 + s12 - factor * GRAM_DET_FLOOR / (1.0 - s12)))
+            t *= cmath.exp(1j * float(rng.uniform(0.0, 2.0 * math.pi)))
+            g = GramData(s12, t, t)
+            geom = build_geometry(g)
+            assert not geom.degenerate and geom.m ** 2 < 40.0 * GRAM_DET_FLOOR
+            _assert_spectrum_matches_numpy(g, _spectrum_probes(g, rng), det_verdict=False)
 
 
 def test_optimize_cat_decoy_disables_attack():
