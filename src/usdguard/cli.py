@@ -16,13 +16,11 @@ import contextlib
 import csv
 import dataclasses
 import json
-import math
 import sys
 from typing import TYPE_CHECKING
 
 from . import channel as ch
 from .config import ConfigError, load_config, require_int, require_number
-from .tolerances import N_CUT_MAX, NUM_TOL_MAX
 
 # states, fock, usd and montecarlo are imported inside the commands that
 # compute with them, after the command's config is validated; numpy loads
@@ -56,20 +54,8 @@ def _cplx(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _tolerances(cfg: dict) -> dict:
-    num_tol = require_number(cfg, "tolerances.num_tol", lo=0.0, hi=NUM_TOL_MAX)
-    tail_tol = require_number(cfg, "tolerances.tail_tol", lo=0.0)
-    if tail_tol == 0.0:  # a truncation is kept only when its tail mass is below tail_tol
-        raise ConfigError("tolerances.tail_tol", "must be > 0, got 0")
-    return {"num_tol": num_tol, "tail_tol": tail_tol}
-
-
-def _signal_params(cfg: dict) -> tuple[float, float, int]:
-    # only overlaps truncates (n_cut), but every command accepts the same config
-    alpha = require_number(cfg, "alpha", lo=0.0)
-    phi = require_number(cfg, "phi")
-    n_cut = require_int(cfg, "n_cut", lo=1, hi=N_CUT_MAX)
-    return alpha, phi, n_cut
+def _signal_params(cfg: dict) -> tuple[float, float]:
+    return require_number(cfg, "alpha", lo=0.0), require_number(cfg, "phi")
 
 
 def _decoy_kind(cfg: dict) -> str:
@@ -86,7 +72,8 @@ def _preps(cfg: dict, alpha: float, phi: float) -> tuple[st.StatePrep, ...]:
     from . import states as st
 
     with _as_config_error("alpha"):
-        signals = st.coherent_prep(alpha, phi), st.coherent_prep(alpha, phi + math.pi)
+        signals = st.signal_preps(alpha, phi)
+    phi = signals[0].phi  # reduced modulo 2 pi: the orthogonal decoy's zero overlaps compare phases
     if kind == "cat":
         return *signals, st.cat_prep(alpha, phi)
     if kind == "squeezed":
@@ -103,11 +90,11 @@ def _preps(cfg: dict, alpha: float, phi: float) -> tuple[st.StatePrep, ...]:
         return *signals, fock.raw_prep([complex(a[0], a[1]) for a in amps])
 
 
-def _gram(preps: tuple[st.StatePrep, ...], tols: dict) -> st.GramData:
+def _gram(preps: tuple[st.StatePrep, ...]) -> st.GramData:
     from . import states as st
 
     with _as_config_error("decoy"):
-        return st.gram_from_preps(*preps, num_tol=tols["num_tol"])
+        return st.gram_from_preps(*preps)
 
 
 def _channel(cfg: dict) -> ch.ChannelModel:
@@ -169,7 +156,7 @@ def _sweep_values(cfg: dict, allowed: tuple[str, ...]) -> tuple[str, list[float]
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _as_config_error("--csv", OSError), open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -188,10 +175,9 @@ def _overlap_entry(numeric: complex | None, analytic: complex) -> dict:
 
 
 def cmd_overlaps(cfg: dict) -> int:
-    alpha, phi, n_cut = _signal_params(cfg)
-    tols = _tolerances(cfg)
+    alpha, phi = _signal_params(cfg)
     preps = _preps(cfg, alpha, phi)
-    gram = _gram(preps, tols)
+    gram = _gram(preps)
     from . import fock
     from . import states as st
 
@@ -200,7 +186,7 @@ def cmd_overlaps(cfg: dict) -> int:
     vecs, truncated = [], set()
     for index, prep in enumerate(preps):
         try:
-            vecs.append(fock.realize(prep, n_cut=n_cut, tail_tol=tols["tail_tol"]))
+            vecs.append(fock.realize(prep))
         except fock.TruncationError as exc:
             vecs.append(exc.vector)
             truncated.add(index)
@@ -226,21 +212,20 @@ def _nu(cfg: dict) -> float:
     return nu
 
 
-def _optimize(gram: st.GramData, nu: float, tols: dict) -> usd.UsdSolution:
+def _optimize(gram: st.GramData, nu: float) -> usd.UsdSolution:
     from . import usd
 
     with _as_config_error("decoy"):  # the optimizer needs equal decoy overlaps
-        return usd.optimize_usd(gram, nu, tols["num_tol"])
+        return usd.optimize_usd(gram, nu)
 
 
-def _solve_point(cfg: dict, alpha: float, phi: float, tols: dict) -> usd.UsdSolution:
+def _solve_point(cfg: dict, alpha: float, phi: float) -> usd.UsdSolution:
     nu = _nu(cfg)
-    return _optimize(_gram(_preps(cfg, alpha, phi), tols), nu, tols)
+    return _optimize(_gram(_preps(cfg, alpha, phi)), nu)
 
 
 def cmd_usd(cfg: dict, csv_path: str | None) -> int:
-    alpha, phi, _ = _signal_params(cfg)
-    tols = _tolerances(cfg)
+    alpha, phi = _signal_params(cfg)
     nu = _nu(cfg)
     sweep = _sweep_values(cfg, ("alpha", "r"))
     if sweep is not None:
@@ -248,11 +233,11 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
             raise ConfigError("--csv", "sweep output needs a CSV path")
         if sweep[0] == "r" and _decoy_kind(cfg) != "squeezed":
             raise ConfigError("sweep.param", "r sweeps require a squeezed decoy")
-    gram = _gram(_preps(cfg, alpha, phi), tols)
+    gram = _gram(_preps(cfg, alpha, phi))
     from . import usd
 
-    geom = usd.build_geometry(gram, tols["num_tol"])
-    solution = _optimize(gram, nu, tols)
+    geom = usd.build_geometry(gram)
+    solution = _optimize(gram, nu)
 
     sweep_info = None
     if sweep is not None:
@@ -262,10 +247,10 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
             point_cfg = json.loads(json.dumps(cfg))
             if param == "alpha":
                 point_cfg["alpha"] = value
-                sol = _solve_point(point_cfg, value, phi, tols)
+                sol = _solve_point(point_cfg, value, phi)
             else:
                 point_cfg["decoy"]["r"] = value
-                sol = _solve_point(point_cfg, alpha, phi, tols)
+                sol = _solve_point(point_cfg, alpha, phi)
             rows.append([value, sol.p_s, sol.p_d, sol.p0])
         _write_csv(csv_path, [param, "p_s", "p_d", "p0"], rows)
         sweep_info = {"param": param, "points": len(rows), "csv": csv_path}
@@ -281,16 +266,17 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
 
 
 def cmd_eve(cfg: dict) -> int:
-    alpha, phi, _ = _signal_params(cfg)
-    tols = _tolerances(cfg)
+    alpha, phi = _signal_params(cfg)
     model = _channel(cfg)
-    eve_cfg = cfg.get("eve") or {}
-    if isinstance(eve_cfg, dict) and "p_s" in eve_cfg and "p_d" in eve_cfg:
+    eve_cfg = cfg.get("eve")
+    if eve_cfg is not None and not isinstance(eve_cfg, dict):
+        raise ConfigError("eve", "expected an object or null")
+    if eve_cfg and ("p_s" in eve_cfg or "p_d" in eve_cfg):  # a lone one is reported missing
         p_s = require_number(cfg, "eve.p_s", 0.0, 1.0)
         p_d = require_number(cfg, "eve.p_d", 0.0, 1.0)
         source = "config"
     else:
-        solution = _solve_point(cfg, alpha, phi, tols)
+        solution = _solve_point(cfg, alpha, phi)
         p_s, p_d = solution.p_s, solution.p_d
         source = "usd"
     with _as_config_error("channel"):

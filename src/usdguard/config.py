@@ -27,20 +27,21 @@ DEFAULTS: dict[str, Any] = {
     "alpha": 0.5,
     "phi": 0.0,
     "nu": 0.01,
-    "n_cut": 64,
     "decoy": {"kind": "cat", "r": 0.5, "amplitudes": None},
     "channel": {"g": 0.9, "e": 0.01, "d0": 0.01, "d1": 0.01},
     "eve": None,
     "simulation": {"n_pulses": 100000, "seed": 1, "z": 5.0},
     "loss": {"mu": 0.5, "eta_b": 0.5, "eta_d": 0.2, "p_d": 0.01},
     "sweep": None,
-    "tolerances": {"num_tol": 1e-10, "tail_tol": 1e-12},
 }
 
 # Fields that older configs may still give, each with why it went.
 REMOVED = {
+    "n_cut": "removed: the Fock check grows its cutoff from 64 until the tail mass is below TAIL_TOL",
     "simulation.chunk_size": "removed: sessions are drawn as exact counts",
     "tolerances.degeneracy_tol": "removed: a Gram minor below the determinant floor is zero",
+    "tolerances.num_tol": "removed: the rounding tolerance is the constant tolerances.NUM_TOL",
+    "tolerances.tail_tol": "removed: the Fock check's tail bound is the constant tolerances.TAIL_TOL",
 }
 
 
@@ -102,8 +103,9 @@ def load_config(
         simulation["seed"] = seed
     _reject_non_finite(cfg, "")
     for field, why in REMOVED.items():
-        section, key = field.split(".")
-        if isinstance(cfg.get(section), dict) and key in cfg[section]:
+        *section, key = field.split(".")  # a field is top-level or one section deep
+        node = cfg.get(section[0]) if section else cfg
+        if isinstance(node, dict) and key in node:
             raise ConfigError(field, why)
     return cfg
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .states import GramData, StatePrep, cat_prep, coherent_prep, gram_from_preps, squeezed_prep
+from .states import GramData, StatePrep, cat_prep, gram_from_preps, signal_preps, squeezed_prep
 from .usd import gram_delta, gram_det
 
 
@@ -40,11 +41,12 @@ class DecoyDesign:
     usd_disabled: bool
 
 
-def _design(decoy: StatePrep, alpha: float, phi: float, mu: float) -> DecoyDesign:
+def _design(decoy_at: Callable[[float], StatePrep], alpha: float, phi: float, mu: float) -> DecoyDesign:
+    """Design diagnostics of the decoy decoy_at(phi), phi being the signals' reduced phase."""
     if not alpha > 0.0:
         raise ValueError("alpha must be > 0: zero-amplitude signals make the protocol vacuous")
-    u1 = coherent_prep(alpha, phi)
-    u2 = coherent_prep(alpha, phi + math.pi)
+    u1, u2 = signal_preps(alpha, phi)
+    decoy = decoy_at(u1.phi)
     gram = gram_from_preps(u1, u2, decoy)
     m_value = math.sqrt(gram_det(gram))
     return DecoyDesign(
@@ -62,7 +64,7 @@ def design_cat(alpha: float, phi: float = 0.0) -> DecoyDesign:
 
     Its mean photon number is alpha^2 tanh(alpha^2).
     """
-    return _design(cat_prep(alpha, phi), alpha, phi, alpha * alpha * math.tanh(alpha * alpha))
+    return _design(lambda phi: cat_prep(alpha, phi), alpha, phi, alpha * alpha * math.tanh(alpha * alpha))
 
 
 def design_squeezed(alpha: float, r: float, phi: float = 0.0) -> DecoyDesign:
@@ -70,7 +72,7 @@ def design_squeezed(alpha: float, r: float, phi: float = 0.0) -> DecoyDesign:
 
     Its mean photon number is sinh^2(r).
     """
-    return _design(squeezed_prep(r), alpha, phi, math.sinh(r) ** 2)
+    return _design(lambda _: squeezed_prep(r), alpha, phi, math.sinh(r) ** 2)
 
 
 def delta_squeezed(alpha: float, r: float) -> float:

@@ -102,6 +102,15 @@ def coherent_prep(alpha: float, phi: float = 0.0) -> StatePrep:
     return StatePrep(StateKind.COHERENT, alpha=alpha, phi=phi)
 
 
+def signal_preps(alpha: float, phi: float = 0.0) -> tuple[StatePrep, StatePrep]:
+    """The signals |alpha e^{i phi}> and |-alpha e^{i phi}>, phi reduced modulo 2 pi.
+
+    phi + pi rounds to phi for |phi| >~ 1e15; fmod keeps |phi| < 2 pi as is.
+    """
+    phi = math.fmod(phi, 2.0 * math.pi)
+    return coherent_prep(alpha, phi), coherent_prep(alpha, phi + math.pi)
+
+
 def cat_prep(alpha: float, phi: float = 0.0) -> StatePrep:
     return StatePrep(StateKind.CAT, alpha=alpha, phi=phi)
 
@@ -174,7 +183,7 @@ def closed_overlap(a: StatePrep, b: StatePrep) -> complex:
     if a.kind is StateKind.ORTHOGONAL:
         return closed_overlap(b, a).conjugate()
     if a.kind is StateKind.CAT:
-        ap, am = coherent_prep(a.alpha, a.phi), coherent_prep(a.alpha, a.phi + math.pi)
+        ap, am = signal_preps(a.alpha, a.phi)
         return (closed_overlap(ap, b) + closed_overlap(am, b)) / cat_norm(a.alpha)
     if b.kind is StateKind.CAT:
         return closed_overlap(b, a).conjugate()
@@ -220,21 +229,21 @@ class GramData:
         cross = self.s12.conjugate() * self.s13 * self.s23.conjugate()
         return fsum([1.0, 2.0 * cross.real] + [-abs(s) ** 2 for s in (self.s12, self.s13, self.s23)])
 
-    def validate(self, num_tol: float = NUM_TOL) -> None:
-        """Require lambda_min(G) >= -num_tol, i.e. G + num_tol I PSD.
+    def validate(self) -> None:
+        """Require lambda_min(G) >= -NUM_TOL, i.e. G + NUM_TOL I PSD.
 
-        Eliminating the first row on the pivot d = 1 + num_tol leaves the
-        2x2 Schur complement S, and G + num_tol I is PSD iff S is.  Its
+        Eliminating the first row on the pivot d = 1 + NUM_TOL leaves the
+        2x2 Schur complement S, and G + NUM_TOL I is PSD iff S is.  Its
         diagonal d - |S1j|^2 / d is >= 0 by the |overlap| checks, so
         det S >= 0 decides.  The rounding of S is that of a perturbation
-        of G by a few ulps, as in an eigenvalue solver.  det(G + num_tol I)
+        of G by a few ulps, as in an eigenvalue solver.  det(G + NUM_TOL I)
         itself would not do: with two small eigenvalues (a near-vacuum cat
         decoy) it falls below the rounding of its O(1) terms.
         """
         for name in ("s12", "s13", "s23"):
-            if abs(getattr(self, name)) > 1.0 + num_tol:
-                raise ValueError(f"{name}: |overlap| exceeds 1 (+{num_tol:g})")
-        d = 1.0 + num_tol
+            if abs(getattr(self, name)) > 1.0 + NUM_TOL:
+                raise ValueError(f"{name}: |overlap| exceeds 1 (+{NUM_TOL:g})")
+        d = 1.0 + NUM_TOL
         s22 = d - abs(self.s12) ** 2 / d
         s33 = d - abs(self.s13) ** 2 / d
         s23 = self.s23 - self.s12.conjugate() * self.s13 / d
@@ -246,9 +255,9 @@ class GramData:
         return abs(self.s13 - self.s23) <= SYMMETRY_TOL and abs(self.s12.imag) <= SYMMETRY_TOL
 
 
-def gram_from_preps(u1: StatePrep, u2: StatePrep, u3: StatePrep, num_tol: float = NUM_TOL) -> GramData:
+def gram_from_preps(u1: StatePrep, u2: StatePrep, u3: StatePrep) -> GramData:
     """Overlap matrix entries, each exact from closed_overlap, validated."""
     preps = (u1, u2, u3)
     gram = GramData(**{key: closed_overlap(preps[i], preps[j]) for key, (i, j) in GRAM_PAIRS.items()})
-    gram.validate(num_tol)
+    gram.validate()
     return gram

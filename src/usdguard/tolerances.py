@@ -1,16 +1,11 @@
-"""Shared numerical tolerances and truncation limits.
+"""Numerical tolerances and truncation limits.
 
-All defaults can be overridden per call; the CLI threads a single set of
-values through every module so a run is reproducible from its config.
+They are constants, not settings: each absorbs double-precision rounding
+or bounds the Fock check, and no value but these is supported.
 """
 
 # Generic comparison tolerance for well-conditioned double-precision sums.
 NUM_TOL = 1e-10
-
-# Largest num_tol a config may set: the tolerance absorbs rounding, and a
-# larger one would accept overlap matrices and A0 operators that are not
-# positive semidefinite.
-NUM_TOL_MAX = 1e-6
 
 # Maximum Fock-amplitude mass allowed beyond the truncation cutoff.
 TAIL_TOL = 1e-12

@@ -93,14 +93,14 @@ def _vector(x: complex, y: complex, z: complex) -> Vector:
     return complex(x), complex(y), complex(z)
 
 
-def build_geometry(g: GramData, num_tol: float = NUM_TOL) -> UsdGeometry:
+def build_geometry(g: GramData) -> UsdGeometry:
     """Construct the u/v vectors from overlap data.
 
     Rejects non-PSD overlap matrices.  Degenerate means the reciprocal
     basis does not exist: M = 0 (decoy inside the signal span) or L = 0
     (coincident signals), each minor being zero below GRAM_DET_FLOOR.
     """
-    g.validate(num_tol)
+    g.validate()
     s12, s13, s23 = g.s12, g.s13, g.s23
     l = math.sqrt(_floored(1.0 - abs(s12) ** 2))
     h = s12 * s23 - s13
@@ -124,12 +124,12 @@ def build_geometry(g: GramData, num_tol: float = NUM_TOL) -> UsdGeometry:
     return UsdGeometry(u1, u2, u3, v1, v2, v3, h, k, l, m, False)
 
 
-def build_a0(geom: UsdGeometry, p_s: float, p_d: float, num_tol: float = NUM_TOL) -> np.ndarray:
+def build_a0(geom: UsdGeometry, p_s: float, p_d: float) -> np.ndarray:
     """Inconclusive operator I - P_S (v1 v1^+ + v2 v2^+) - P_D v3 v3^+."""
     if geom.degenerate:
         raise ValueError("degenerate geometry: reciprocal basis does not exist")
     for name, p in (("p_s", p_s), ("p_d", p_d)):
-        if not (-num_tol <= p <= 1.0 + num_tol):
+        if not (-NUM_TOL <= p <= 1.0 + NUM_TOL):
             raise ValueError(f"{name} must lie in [0, 1]")
     import numpy as np
 
@@ -221,34 +221,29 @@ def a0_spectrum(geom: UsdGeometry, s12: float) -> Callable[[float, float], tuple
     return spectrum
 
 
-def optimize_usd(
-    g: GramData,
-    nu: float,
-    num_tol: float = NUM_TOL,
-    n_samples: int = 1024,
-    tol: float = 1e-10,
-) -> UsdSolution:
+def optimize_usd(g: GramData, nu: float) -> UsdSolution:
     """Maximize (1-nu) P_S + nu P_D subject to A0 being PSD on [0,1]^2.
 
     The search follows the det(A0) = 0 curve P_D = f1(P_S), clipped to
-    the unit box, plus the box edges where the clip is active.  Every
-    probe is accepted on A0's smallest eigenvalue from the two-block
+    the unit box, plus the box edges where the clip is active.  A probe
+    is feasible when A0's smallest eigenvalue from the two-block
     spectrum (a0_spectrum; a zero determinant alone does not certify
-    positivity), which also gives the reported min_eig_a0 and the
-    on_det_zero verdict.  Degenerate geometry means discrimination is
-    impossible: returns (0, 0, 1).
+    positivity) is >= -NUM_TOL; the spectrum also gives the reported
+    min_eig_a0 and the on_det_zero verdict.  Degenerate geometry means
+    discrimination is impossible: returns (0, 0, 1).
     """
     if not (0.0 < nu < 1.0):
         raise ValueError("nu must lie in (0, 1)")
-    geom = build_geometry(g, num_tol)
+    geom = build_geometry(g)
     if geom.degenerate:
         return UsdSolution(0.0, 0.0, 1.0, 1.0, False, True, nu)
     s12, _ = _require_symmetric(g)
     delta = gram_delta(g)
     spectrum = a0_spectrum(geom, s12)
+    tol = 1e-10  # the width in P_S or P_D at which the refinement and bisections stop
 
     def feasible(p_s: float, p_d: float) -> bool:
-        return spectrum(p_s, p_d)[0] >= -num_tol
+        return spectrum(p_s, p_d)[0] >= -NUM_TOL
 
     def pd_on_curve(p_s: float) -> float:
         den = p_s - 1.0 - s12
@@ -267,7 +262,7 @@ def optimize_usd(
 
     candidates: list[tuple[float, float]] = [(0.0, pd_on_curve(0.0))]
 
-    ps_star, _ = sampled_golden_max(curve_objective, 0.0, 1.0, n_samples, tol)
+    ps_star, _ = sampled_golden_max(curve_objective, 0.0, 1.0, 1024, tol)
     candidates.append((ps_star, pd_on_curve(ps_star)))
 
     # feasibility cliff along the curve: the feasible stretch starts at 0

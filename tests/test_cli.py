@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from usdguard.cli import SWEEP_STEPS_MAX, _sweep_values, main
+from usdguard.config import REMOVED
 from usdguard.states import R_MAX
-from usdguard.tolerances import N_CUT_MAX, NUM_TOL_MAX
+from usdguard.tolerances import N_CUT_MAX
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "schema" / "report.schema.json").read_text())
@@ -83,16 +84,7 @@ def test_overlaps_reports_realized_cutoff(capsys):
     code, report = run_cli(capsys, "overlaps", "--set", "alpha=10")
     assert code == 0
     assert report["result"]["n_cut"] > 64
-    assert report["inputs"]["n_cut"] == 64
     assert report["result"]["gram"]["s13"]["discrepancy"] < 1e-8
-    # a coarse truncation shows in the numeric column only: it is a Fock sum
-    code, report = run_cli(capsys, "overlaps", "--set", "alpha=1", "--set", "n_cut=2", "--set", "tolerances.tail_tol=0.1")
-    assert code == 0
-    assert report["result"]["n_cut"] == 2
-    assert all(0.0 < tail < 0.1 for tail in report["result"]["tail_mass"])
-    s12 = report["result"]["gram"]["s12"]
-    assert s12["analytic"]["re"] == math.exp(-2.0)
-    assert abs(s12["numeric"]["re"] - 0.5 * math.exp(-1.0)) < 1e-15
 
 
 def test_usd_orthogonal(capsys):
@@ -278,24 +270,6 @@ def test_non_symmetric_raw_decoy_exit_2(capsys, command):
     assert "decoy" in err and "symmetric" in err
 
 
-def test_removed_chunk_size_rejected(capsys, tmp_path):
-    cfg = tmp_path / "old.json"
-    cfg.write_text(json.dumps({"simulation": {"n_pulses": 1000, "chunk_size": 65536}}))
-    for argv in (["--config", str(cfg)], ["--set", "simulation.chunk_size=1000"]):
-        code = main(["simulate", *argv])
-        assert code == 2
-        assert "simulation.chunk_size" in capsys.readouterr().err
-
-
-def test_removed_degeneracy_tol_rejected(capsys, tmp_path):
-    cfg = tmp_path / "old.json"
-    cfg.write_text(json.dumps({"tolerances": {"num_tol": 1e-10, "degeneracy_tol": 1e-8}}))
-    for argv in (["--config", str(cfg)], ["--set", "tolerances.degeneracy_tol=1e-8"]):
-        code = main(["usd", *argv])
-        assert code == 2
-        assert "tolerances.degeneracy_tol" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -329,6 +303,30 @@ def test_decoys_orthogonal_to_signals_at_large_alpha(capsys, command, decoy):
     assert "Traceback" not in capsys.readouterr().err
     p_d = report["result"]["solution"]["p_d"] if command == "usd" else report["result"]["p_d"]
     assert p_d == 1.0
+
+
+def _usd_result(capsys, *argv: str) -> tuple[int, dict | None]:
+    code = main(["usd", *argv])
+    out = capsys.readouterr().out
+    return code, json.loads(out)["result"] if out else None
+
+
+@pytest.mark.parametrize("phi", [1e15, 1e17, -1.7e308])
+@pytest.mark.parametrize("kind", ["cat", "squeezed", "orthogonal", "raw"])
+def test_large_phase_acts_as_its_reduction(capsys, kind, phi):
+    # phi + pi rounds to phi beyond ~1e15, so the signals are built from fmod(phi, 2 pi)
+    decoy = ["--set", f"decoy.kind={kind}", "--set", TWO_PHOTON]  # only a raw decoy reads amplitudes
+    code, result = _usd_result(capsys, *decoy, "--set", f"phi={phi!r}")
+    code_0, result_0 = _usd_result(capsys, *decoy)
+    assert code == code_0 and code in (0, 3)
+    assert main(["eve", *decoy, "--set", f"phi={phi!r}"]) == main(["eve", *decoy])
+    capsys.readouterr()
+    if kind in ("cat", "orthogonal"):
+        for key in ("p_s", "p_d"):
+            assert abs(result["solution"][key] - result_0["solution"][key]) <= 1e-12
+    if kind == "squeezed":
+        reduced = _usd_result(capsys, *decoy, "--set", f"phi={math.fmod(phi, 2.0 * math.pi)!r}")
+        assert json.dumps(result, sort_keys=True) == json.dumps(reduced[1], sort_keys=True)
 
 
 @pytest.mark.parametrize(
@@ -440,7 +438,13 @@ NO_NUMPY_CASES = [
     ("usd-orthogonal", ["usd", "--set", "decoy.kind=orthogonal"], 0, None),
     ("eve-orthogonal", ["eve", "--set", "decoy.kind=orthogonal"], 0, None),
     ("usd-r-sweep", ["usd", *SQUEEZED_DESIGN, "--set", f"sweep={R_SWEEP}", "--csv", "{tmp}/r.csv"], 0, None),
-    ("num-tol-max", ["usd", *SQUEEZED_DESIGN, "--set", f"tolerances.num_tol={NUM_TOL_MAX!r}"], 0, None),
+    ("maxloss-csv-no-such-dir", ["maxloss", "--set", MU_SWEEP, "--csv", "/nonexistent/x.csv"], 2, "--csv"),
+    ("maxloss-csv-is-a-dir", ["maxloss", "--set", MU_SWEEP, "--csv", "{tmp}"], 2, "--csv"),
+    ("usd-r-sweep-csv-is-a-dir", ["usd", *SQUEEZED_DESIGN, "--set", f"sweep={R_SWEEP}", "--csv", "{tmp}"], 2, "--csv"),
+    ("eve-not-an-object", ["eve", "--set", "eve=5"], 2, "eve"),
+    ("eve-lone-p-d", ["eve", "--set", "eve.p_d=0.5"], 2, "eve.p_s"),
+    ("eve-lone-p-s", ["eve", "--set", "eve.p_s=0.5"], 2, "eve.p_d"),
+    ("num-tol-max", ["usd", *SQUEEZED_DESIGN, "--set", "tolerances.num_tol=1e-06"], 2, "tolerances.num_tol"),
     ("num-tol-0.5", ["usd", *SQUEEZED_DESIGN, "--set", "tolerances.num_tol=0.5"], 2, "tolerances.num_tol"),
     ("num-tol-1e300", ["usd", *SQUEEZED_DESIGN, "--set", "tolerances.num_tol=1e300"], 2, "tolerances.num_tol"),
 ]
@@ -454,6 +458,20 @@ def test_config_errors_and_maxloss_never_load_numpy(tmp_path, argv, expect, fiel
     assert "Traceback" not in err
     if field is not None:
         assert err.startswith(f"config error: {field}")
+
+
+@pytest.mark.parametrize("field", sorted(REMOVED))
+def test_removed_field_rejected(tmp_path, field):
+    *sections, key = field.split(".")
+    doc = {key: 1}
+    for section in reversed(sections):
+        doc = {section: doc}
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps(doc))
+    for argv in (["--config", str(cfg)], ["--set", f"{field}=1"]):
+        code, numpy_loaded, err = json.loads(_child(_NO_NUMPY_CHILD, json.dumps(["usd", *argv])).splitlines()[-1])
+        assert (code, numpy_loaded) == (2, False), argv
+        assert err.startswith(f"config error: {field}: removed"), err
 
 
 def test_non_degenerate_usd_loads_numpy():
@@ -544,19 +562,14 @@ def test_domain_fuzz_overlaps_usd_eve(capsys):
         if code in (0, 3):
             _validate_strict(captured.out)
 
-    # overlaps, usd and eve at seeded extremes of the state and tolerance inputs
+    # overlaps, usd and eve at seeded extremes of the state inputs
     rs = [-math.nextafter(R_MAX, 0.0), -5.0, -5e-324, 0.0, 1e-300, 1e-9, 2.5, math.nextafter(R_MAX, 0.0), R_MAX]
     phis = [-1.7e308, -math.pi, -5e-324, 0.0, 1e-300, math.pi / 2, 2.0 * math.pi, 1e16, 1.7e308]
     alphas = [0.0, 5e-324, 1e-7, 0.05, 1.0, 10.0, 60.0]
-    n_cuts = [1, 2, 64, N_CUT_MAX]
-    num_tols = [0.0, 5e-324, 1e-300, 1e-16, 1e-10, NUM_TOL_MAX, math.nextafter(NUM_TOL_MAX, 1.0), 0.5]
-    tail_tols = [5e-324, 1e-300, 1e-16, 1e-12, 0.5, 1.0, 1e300]
     seen = set()
     for i in range(90):
         argv = [("overlaps", "usd", "eve")[i % 3], "--set", f"decoy.kind={pick(['squeezed', 'squeezed', 'orthogonal', 'cat'])}"]
         argv += ["--set", f"decoy.r={pick(rs)!r}", "--set", f"phi={pick(phis)!r}", "--set", f"alpha={pick(alphas)!r}"]
-        argv += ["--set", f"n_cut={pick(n_cuts)}", "--set", f"tolerances.num_tol={pick(num_tols)!r}"]
-        argv += ["--set", f"tolerances.tail_tol={pick(tail_tols)!r}"]
         code = main(argv)
         captured = capsys.readouterr()
         seen.add(code)

@@ -60,6 +60,14 @@ def test_design_squeezed():
     assert abs(design.mu - math.sinh(0.5) ** 2) < 1e-10
 
 
+@pytest.mark.parametrize("phi", [1e15, 1e17, -1.7e308])
+def test_design_at_large_phase_is_that_of_the_reduced_phase(phi):
+    # phi + pi rounds to phi beyond ~1e15; the design reduces phi modulo 2 pi first
+    assert design_cat(0.5, phi).usd_disabled
+    reduced = math.fmod(phi, 2.0 * math.pi)
+    assert design_squeezed(ALPHA_STAR_R05, 0.5, phi) == design_squeezed(ALPHA_STAR_R05, 0.5, reduced)
+
+
 def test_design_squeezed_rejects_vacuum_corner():
     # alpha = 0 satisfies Delta = 0 vacuously (all three states are vacuum)
     with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from usdguard.states import (
     orthogonal_decoy_prep,
     raw_prep,
     realize,
+    signal_preps,
     squeezed_prep,
 )
 from usdguard.tolerances import N_CUT_MAX, NUM_TOL
@@ -169,7 +170,7 @@ def _shifted(g: GramData, c: float) -> GramData:
 
 
 def test_psd_rule_matches_eigvalsh():
-    # validate's Schur-complement rule against lambda_min(G) >= -num_tol
+    # validate's Schur-complement rule against lambda_min(G) >= -NUM_TOL
     rng = np.random.default_rng(2029)
     grams = []
     for _ in range(1000):
@@ -196,7 +197,7 @@ def test_psd_rule_matches_eigvalsh():
     for g in grams:
         expected = bool(np.linalg.eigvalsh(g.matrix())[0] >= -NUM_TOL)
         try:
-            g.validate(NUM_TOL)
+            g.validate()
             accepted = True
         except ValueError:
             accepted = False
@@ -278,6 +279,24 @@ def test_auto_grow_and_truncation_failure():
         fock_squeezed_vacuum(5.0)
     assert failure.value.vector.n_cut == N_CUT_MAX
     assert abs(failure.value.vector.tail_mass - 0.388) < 1e-3
+
+
+def test_coarse_truncation_shows_in_the_fock_sum_only():
+    # at n_cut = 2 the signals keep only |0>, |1>, |2>: <a|-a> sums to (1 - 1 + 1/2) e^{-1}
+    preps = (*signal_preps(1.0), cat_prep(1.0))
+    vecs = [realize(p, n_cut=2, tail_tol=0.1) for p in preps]
+    assert [v.n_cut for v in vecs] == [2, 2, 2]
+    assert all(0.0 < v.tail_mass < 0.1 for v in vecs)
+    assert closed_overlap(preps[0], preps[1]).real == math.exp(-2.0)
+    assert abs(inner_product(vecs[0], vecs[1]).real - 0.5 * math.exp(-1.0)) < 1e-15
+
+
+@pytest.mark.parametrize("phi", [1e15, 1e17, -1.7e308])
+def test_signal_preps_stay_antipodal_at_any_phase(phi):
+    u1, u2 = signal_preps(0.7, phi)
+    assert u1.phi == math.fmod(phi, 2.0 * math.pi) and u2.phi == u1.phi + math.pi
+    assert abs(closed_overlap(u1, u2) - math.exp(-2.0 * 0.49)) < 1e-15
+    assert signal_preps(0.7, 1.25) == (coherent_prep(0.7, 1.25), coherent_prep(0.7, 1.25 + math.pi))
 
 
 def test_mean_photon_number():
