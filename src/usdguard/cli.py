@@ -16,6 +16,7 @@ import contextlib
 import csv
 import dataclasses
 import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -24,7 +25,7 @@ from .config import ConfigError, load_config, require_int, require_number
 
 # states, fock, usd and montecarlo are imported inside the commands that
 # compute with them, after the command's config is validated; numpy loads
-# only with fock (the overlaps check column, raw decoys) and the sampler.
+# only with the sampler (simulate).
 if TYPE_CHECKING:
     from . import states as st
     from . import usd
@@ -35,7 +36,7 @@ EXIT_INFEASIBLE = 3
 
 DECOY_KINDS = ("cat", "squeezed", "orthogonal", "raw")
 
-# Every sweep point's row is held until the CSV is written.
+# The sweep grid is held in memory, one float per point.
 SWEEP_STEPS_MAX = 10**6
 
 
@@ -82,12 +83,20 @@ def _preps(cfg: dict, alpha: float, phi: float) -> tuple[st.StatePrep, ...]:
     if kind == "orthogonal":
         return *signals, st.orthogonal_decoy_prep(alpha, phi)
     amps = cfg["decoy"].get("amplitudes")
-    if not isinstance(amps, list) or len(amps) < 2:
+    if not isinstance(amps, list) or len(amps) < 2 or not all(map(_is_number_pair, amps)):
         raise ConfigError("decoy.amplitudes", "raw decoy requires a list of [re, im] pairs")
     from . import fock
 
-    with _as_config_error("decoy.amplitudes", TypeError, IndexError, OverflowError):
-        return *signals, fock.raw_prep([complex(a[0], a[1]) for a in amps])
+    with _as_config_error("decoy.amplitudes", OverflowError):  # an integer beyond float range
+        return *signals, fock.raw_prep([complex(re, im) for re, im in amps])
+
+
+def _is_number_pair(pair) -> bool:
+    return (
+        isinstance(pair, list)
+        and len(pair) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+    )
 
 
 def _gram(preps: tuple[st.StatePrep, ...]) -> st.GramData:
@@ -155,11 +164,27 @@ def _sweep_values(cfg: dict, allowed: tuple[str, ...]) -> tuple[str, list[float]
     return param, [i * step + start for i in range(steps - 1)] + [stop]
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with _as_config_error("--csv", OSError), open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+@contextlib.contextmanager
+def _csv_writer(path: str, header: list[str]):
+    """A CSV writer on path, opened before any point is solved.
+
+    An unwritable path fails before the work; a command that fails after
+    opening it leaves no partial file behind (only a regular file is removed).
+    """
+    with _as_config_error("--csv", OSError):
+        fh = open(path, "w", newline="")
+    try:
+        with fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            yield writer
+    except BaseException as exc:
+        if os.path.isfile(path):
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if isinstance(exc, OSError):
+            raise ConfigError("--csv", str(exc)) from None
+        raise
 
 
 def _emit(report: dict) -> None:
@@ -233,27 +258,27 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
             raise ConfigError("--csv", "sweep output needs a CSV path")
         if sweep[0] == "r" and _decoy_kind(cfg) != "squeezed":
             raise ConfigError("sweep.param", "r sweeps require a squeezed decoy")
-    gram = _gram(_preps(cfg, alpha, phi))
-    from . import usd
+    out = contextlib.nullcontext() if sweep is None else _csv_writer(csv_path, [sweep[0], "p_s", "p_d", "p0"])
+    with out as writer:
+        gram = _gram(_preps(cfg, alpha, phi))
+        from . import usd
 
-    geom = usd.build_geometry(gram)
-    solution = _optimize(gram, nu)
+        geom = usd.build_geometry(gram)
+        solution = _optimize(gram, nu)
 
-    sweep_info = None
-    if sweep is not None:
-        param, values = sweep
-        rows = []
-        for value in values:
-            point_cfg = json.loads(json.dumps(cfg))
-            if param == "alpha":
-                point_cfg["alpha"] = value
-                sol = _solve_point(point_cfg, value, phi)
-            else:
-                point_cfg["decoy"]["r"] = value
-                sol = _solve_point(point_cfg, alpha, phi)
-            rows.append([value, sol.p_s, sol.p_d, sol.p0])
-        _write_csv(csv_path, [param, "p_s", "p_d", "p0"], rows)
-        sweep_info = {"param": param, "points": len(rows), "csv": csv_path}
+        sweep_info = None
+        if sweep is not None:
+            param, values = sweep
+            for value in values:
+                point_cfg = json.loads(json.dumps(cfg))
+                if param == "alpha":
+                    point_cfg["alpha"] = value
+                    sol = _solve_point(point_cfg, value, phi)
+                else:
+                    point_cfg["decoy"]["r"] = value
+                    sol = _solve_point(point_cfg, alpha, phi)
+                writer.writerow([value, sol.p_s, sol.p_d, sol.p0])
+            sweep_info = {"param": param, "points": len(values), "csv": csv_path}
 
     result = {
         "gram": {"s12": _cplx(gram.s12), "s13": _cplx(gram.s13), "s23": _cplx(gram.s23)},
@@ -341,22 +366,22 @@ def cmd_maxloss(cfg: dict, csv_path: str | None) -> int:
     eta_d = require_number(cfg, "loss.eta_d", 0.0, 1.0)
     p_d = require_number(cfg, "loss.p_d", 0.0, 1.0)
 
-    sweep_info = None
     sweep = _sweep_values(cfg, ("mu",))
-    if sweep is not None:
-        _, values = sweep
-        if csv_path is None:
-            raise ConfigError("--csv", "sweep output needs a CSV path")
-        rows = []
-        for value in values:
-            with _as_config_error("sweep"):
-                loss = ch.max_loss(value, eta_b, eta_d, p_d)
-            rows.append([value, "" if loss is None else loss, loss is not None])
-        _write_csv(csv_path, ["mu", "max_loss_db", "feasible"], rows)
-        sweep_info = {"param": "mu", "points": len(rows), "csv": csv_path}
+    if sweep is not None and csv_path is None:
+        raise ConfigError("--csv", "sweep output needs a CSV path")
+    out = contextlib.nullcontext() if sweep is None else _csv_writer(csv_path, ["mu", "max_loss_db", "feasible"])
+    with out as writer:
+        sweep_info = None
+        if sweep is not None:
+            _, values = sweep
+            for value in values:
+                with _as_config_error("sweep"):
+                    loss = ch.max_loss(value, eta_b, eta_d, p_d)
+                writer.writerow([value, "" if loss is None else loss, loss is not None])
+            sweep_info = {"param": "mu", "points": len(values), "csv": csv_path}
 
-    with _as_config_error("loss"):
-        loss = ch.max_loss(mu, eta_b, eta_d, p_d)
+        with _as_config_error("loss"):
+            loss = ch.max_loss(mu, eta_b, eta_d, p_d)
     result = {
         "mu": mu,
         "eta_b": eta_b,

@@ -6,22 +6,29 @@ vectors are the independent check on the exact overlaps of `states`
 (the `overlaps` report's numeric column and the tests); a raw decoy's
 overlaps are the finite sums over its support.
 
-This is the state model's only numpy module.  `states` imports it only
-for raw decoys and for the names it forwards, so the closed forms load
-without numpy.
+The vectors are tuples of Python complex numbers, at most N_CUT_MAX + 1
+long, with every sum taken by math.fsum, so this module loads without
+numpy; FockVector.amplitudes builds the array on demand.  `states`
+imports it only for raw decoys and for the names it forwards.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import fsum
-
-import numpy as np
+from numbers import Number
+from typing import TYPE_CHECKING
 
 from .states import R_MAX, StateKind, StatePrep, cat_norm
 from .tolerances import N_CUT_MAX, TAIL_TOL
+
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    import numpy as np
 
 
 class TruncationError(RuntimeError):
@@ -35,105 +42,122 @@ class TruncationError(RuntimeError):
         self.vector = vector
 
 
+def _norm_sq(values: Sequence[complex]) -> float:
+    try:
+        return fsum(z.real * z.real + z.imag * z.imag for z in values)
+    except OverflowError:  # finite squares whose sum exceeds the float range
+        return math.inf
+
+
+def _vdot(a: Sequence[complex], b: Sequence[complex]) -> complex:
+    """sum conj(a_n) b_n over the common length, each part summed exactly."""
+    terms = [x.conjugate() * y for x, y in zip(a, b)]
+    return complex(fsum(z.real for z in terms), fsum(z.imag for z in terms))
+
+
 @dataclass(frozen=True)
 class FockVector:
     """Probability amplitudes over photon numbers 0..n_cut.
 
+    values holds them as complex numbers; amplitudes builds the array.
     tail_mass is the amplitude-squared mass of the discarded n > n_cut
     part of the exact state.
     """
 
-    amplitudes: np.ndarray
+    values: tuple[complex, ...]
     tail_mass: float = 0.0
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size < 2:
+        try:
+            values = tuple(self.values)
+        except TypeError:
+            values = ()
+        if len(values) < 2 or not all(isinstance(v, Number) for v in values):
             raise ValueError("amplitudes must be a 1-D vector with n_cut >= 1")
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "values", tuple(map(complex, values)))
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        import numpy as np  # here, so that the check column and raw decoys load without numpy
+
+        return np.array(self.values, dtype=complex)
 
     @property
     def n_cut(self) -> int:
-        return self.amplitudes.size - 1
+        return len(self.values) - 1
 
     def norm_sq(self) -> float:
-        return fsum(np.abs(self.amplitudes) ** 2)
+        """sum |a_n|^2; inf when it exceeds the float range."""
+        return _norm_sq(self.values)
 
     def mean_photon_number(self) -> float:
-        n = np.arange(self.amplitudes.size)
-        return fsum(n * np.abs(self.amplitudes) ** 2)
+        return fsum(n * (z.real * z.real + z.imag * z.imag) for n, z in enumerate(self.values))
 
     def padded(self, n_cut: int) -> "FockVector":
         """Zero-pad up to n_cut (no-op if already at least that long)."""
         if n_cut <= self.n_cut:
             return self
-        amps = np.zeros(n_cut + 1, dtype=complex)
-        amps[: self.amplitudes.size] = self.amplitudes
-        return FockVector(amps, self.tail_mass)
+        return FockVector(self.values + (0j,) * (n_cut - self.n_cut), self.tail_mass)
 
 
-def raw_prep(amplitudes: np.ndarray) -> StatePrep:
+def raw_prep(amplitudes: Sequence[complex]) -> StatePrep:
     return StatePrep(StateKind.RAW, raw=FockVector(amplitudes))
 
 
 @lru_cache(maxsize=32)
-def _log_factorials(n: int) -> np.ndarray:
+def _log_factorials(n: int) -> tuple[float, ...]:
     # per-term lgamma rather than a cumulative log sum: the cumsum error
     # grows with n and would spoil 1e-8 overlap cross-checks at n ~ 4096
-    return np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+    return tuple(math.lgamma(k + 1.0) for k in range(n + 1))
 
 
-def _coherent_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
+def _coherent_amplitudes(alpha: float, phi: float, n_cut: int) -> list[complex]:
     if alpha == 0.0:
-        amps = np.zeros(n_cut + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
-    n = np.arange(n_cut + 1)
-    log_mag = -0.5 * alpha * alpha + n * math.log(alpha) - 0.5 * _log_factorials(n_cut)
+        return [1.0 + 0j] + [0j] * n_cut
+    log_alpha = math.log(alpha)
+    logfact = _log_factorials(n_cut)
     # the phase is reduced first (exactly, for |phi| < 2 pi): phi * n overflows
     # to inf for phi near the float maximum, and exp(1j * inf) is nan
-    return np.exp(log_mag) * np.exp(1j * math.fmod(phi, 2.0 * math.pi) * n)
+    phase = math.fmod(phi, 2.0 * math.pi)
+    return [
+        math.exp(-0.5 * alpha * alpha + n * log_alpha - 0.5 * logfact[n]) * cmath.exp(1j * phase * n)
+        for n in range(n_cut + 1)
+    ]
 
 
-def _cat_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
+def _cat_amplitudes(alpha: float, phi: float, n_cut: int) -> list[complex]:
     # odd components cancel identically and are stored as exact zeros
     coh = _coherent_amplitudes(alpha, phi, n_cut)
-    amps = np.zeros(n_cut + 1, dtype=complex)
-    amps[::2] = 2.0 * coh[::2] / cat_norm(alpha)
-    return amps
+    norm = cat_norm(alpha)
+    return [2.0 * z / norm if n % 2 == 0 else 0j for n, z in enumerate(coh)]
 
 
-def _squeezed_amplitudes(r: float, n_cut: int) -> np.ndarray:
-    amps = np.zeros(n_cut + 1, dtype=complex)
+def _squeezed_amplitudes(r: float, n_cut: int) -> list[complex]:
+    amps = [0j] * (n_cut + 1)
     if r == 0.0:
-        amps[0] = 1.0
+        amps[0] = 1.0 + 0j
         return amps
     t = math.tanh(r)
     n_pairs = n_cut // 2
-    n = np.arange(n_pairs + 1)
     logfact = _log_factorials(2 * n_pairs)
-    # amplitude at 2n: (cosh r)^{-1/2} sqrt((2n)!)/(2^n n!) (tanh r)^n, via logs
-    log_mag = (
-        -0.5 * math.log(math.cosh(r))
-        + 0.5 * logfact[2 * n]
-        - n * math.log(2.0)
-        - logfact[n]
-        + n * math.log(abs(t))
-    )
-    sign = np.where((t < 0) & (n % 2 == 1), -1.0, 1.0)
-    amps[2 * n] = sign * np.exp(log_mag)
+    log_cosh, log_2, log_t = math.log(math.cosh(r)), math.log(2.0), math.log(abs(t))
+    for n in range(n_pairs + 1):
+        # amplitude at 2n: (cosh r)^{-1/2} sqrt((2n)!)/(2^n n!) (tanh r)^n, via logs
+        log_mag = -0.5 * log_cosh + 0.5 * logfact[2 * n] - n * log_2 - logfact[n] + n * log_t
+        amps[2 * n] = complex(-math.exp(log_mag) if t < 0 and n % 2 == 1 else math.exp(log_mag))
     return amps
 
 
-def _orthogonal_amplitudes(alpha: float, phi: float, n_cut: int) -> np.ndarray:
+def _orthogonal_amplitudes(alpha: float, phi: float, n_cut: int) -> list[complex]:
     cat = _cat_amplitudes(alpha, phi, max(n_cut, 2))
     c2 = cat[2].conjugate()  # <C|2>
-    amps = -c2 * cat
+    amps = [-c2 * z for z in cat]
     amps[2] += 1.0
-    return amps[: n_cut + 1] / math.sqrt(1.0 - abs(c2) ** 2)
+    nu = math.sqrt(1.0 - abs(c2) ** 2)
+    return [z / nu for z in amps[: n_cut + 1]]
 
 
-def _amplitudes(prep: StatePrep, n_cut: int) -> np.ndarray:
+def _amplitudes(prep: StatePrep, n_cut: int) -> Sequence[complex]:
     """Amplitudes 0..n_cut of prep's exact state (a raw vector is cut or zero-padded)."""
     if prep.kind is StateKind.COHERENT:
         return _coherent_amplitudes(prep.alpha, prep.phi, n_cut)
@@ -143,12 +167,12 @@ def _amplitudes(prep: StatePrep, n_cut: int) -> np.ndarray:
         return _squeezed_amplitudes(prep.r, n_cut)
     if prep.kind is StateKind.ORTHOGONAL:
         return _orthogonal_amplitudes(prep.alpha, prep.phi, n_cut)
-    return prep.raw.padded(n_cut).amplitudes[: n_cut + 1]
+    return prep.raw.padded(n_cut).values[: n_cut + 1]
 
 
 def raw_overlap(a: StatePrep, raw: FockVector) -> complex:
     """<a|raw>, exact: the finite sum over the raw vector's support."""
-    return complex(np.vdot(_amplitudes(a, raw.n_cut), raw.amplitudes))
+    return _vdot(_amplitudes(a, raw.n_cut), raw.values)
 
 
 def _build_with_auto_grow(build, n_cut, tail_tol, auto_grow) -> FockVector:
@@ -157,7 +181,7 @@ def _build_with_auto_grow(build, n_cut, tail_tol, auto_grow) -> FockVector:
     n = n_cut
     while True:
         amps = build(n)
-        tail = max(0.0, 1.0 - fsum(np.abs(amps) ** 2))
+        tail = max(0.0, 1.0 - _norm_sq(amps))
         if tail < tail_tol or not auto_grow:
             return FockVector(amps, tail)
         if n >= N_CUT_MAX:
@@ -213,9 +237,8 @@ def fock_cat(
 
 
 def inner_product(a: FockVector, b: FockVector) -> complex:
-    """<a|b> = sum conj(a_n) b_n; the shorter vector is zero-padded."""
-    n = max(a.n_cut, b.n_cut)
-    return complex(np.vdot(a.padded(n).amplitudes, b.padded(n).amplitudes))
+    """<a|b> = sum conj(a_n) b_n; the shorter vector counts as zero-padded."""
+    return _vdot(a.values, b.values)
 
 
 def realize(

@@ -8,11 +8,11 @@ amplitude vector.  Every Gram entry is exact: coherent, cat and squeezed
 overlaps have closed forms, the orthogonal decoy's follow from them, and
 a raw vector's overlap is a finite sum over its support.
 
-Truncated Fock vectors, raw decoys among them, live in `fock`, the one
-numpy module of the state model.  This module imports it only for a raw
-decoy's overlaps and for the Fock names it forwards (FOCK_NAMES), and
-imports numpy only in GramData.matrix, so the closed forms load without
-numpy.
+Truncated Fock vectors, raw decoys among them, live in `fock`, which
+imports this module; this one imports `fock` only for a raw decoy's
+overlaps and for the Fock names it forwards (FOCK_NAMES).  Neither loads
+numpy at import: here only GramData.matrix does, there only
+FockVector.amplitudes.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ if TYPE_CHECKING:
 R_MAX = 10.0
 
 # Public names of `fock` that states.<name> still reaches (bench/tracing.py
-# looks realize and the fock_* builders up here); resolved on first use, so
-# that importing states does not load numpy.
+# looks realize and the fock_* builders up here); resolved on first use,
+# because `fock` imports this module.
 FOCK_NAMES = (
     "FockVector",
     "TruncationError",

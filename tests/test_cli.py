@@ -278,12 +278,17 @@ def test_non_symmetric_raw_decoy_exit_2(capsys, command):
         pytest.param(["usd", "--set", "decoy.kind=squeezed", "--set", "decoy.r=1000"], "decoy.r", id="r-1000"),
         pytest.param(["usd", "--set", 'sweep={"param": "alpha", "start": -1, "stop": 1, "steps": 3}', "--csv", "{tmp}"],
                      "alpha", id="alpha-sweep-from-negative"),
+        pytest.param(["usd", "--set", 'sweep={"param": "alpha", "start": 1, "stop": -1, "steps": 3}', "--csv", "{tmp}"],
+                     "alpha", id="alpha-sweep-to-negative"),
+        pytest.param(["maxloss", "--set", 'sweep={"param": "mu", "start": 1, "stop": -1, "steps": 3}', "--csv", "{tmp}"],
+                     "sweep", id="mu-sweep-to-negative"),
     ],
 )
 def test_out_of_domain_signal_and_decoy_exit_2(capsys, tmp_path, argv, field):
     code = main([a.replace("{tmp}", str(tmp_path / "x.csv")) for a in argv])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}:")
+    assert not (tmp_path / "x.csv").exists()  # a failed sweep leaves no partial CSV
 
 
 TWO_PHOTON = "decoy.amplitudes=[[0, 0], [0, 0], [1, 0]]"
@@ -371,7 +376,7 @@ def _child(code: str, *args: str) -> str:
     ).stdout
 
 
-@pytest.mark.parametrize("module", ["usdguard", "usdguard.cli"])
+@pytest.mark.parametrize("module", ["usdguard", "usdguard.cli", "usdguard.fock"])
 def test_cold_import_leaves_numpy_unloaded(module):
     # importing numpy costs every command ~0.1 s before argparse runs
     assert _child(f"import sys, {module}; print('numpy' in sys.modules)").strip() == "False"
@@ -391,11 +396,20 @@ R_SWEEP = '{"param": "r", "start": 0.2, "stop": 1.0, "steps": 3}'
 EVE_MASKED = ["eve", "--config", "configs/eve_masked.json"]
 
 
-# Config errors, maxloss, usd/eve for every decoy but raw (the optimizer's
-# A0 spectrum is closed-form), the usd r-sweep and eve on a given
-# (p_s, p_d) are closed forms: none of them loads numpy.
+# Config errors, maxloss, usd/eve for every decoy (the optimizer's A0
+# spectrum is closed-form), the usd r-sweep and eve on a given (p_s, p_d)
+# are closed forms, and overlaps' Fock check column and a raw decoy's
+# overlaps are plain-Python sums: none of them loads numpy.
 SQUEEZED_DESIGN = ["--config", "configs/squeezed_design.json"]
+RAW_TWO_PHOTON = ["--set", "decoy.kind=raw", "--set", TWO_PHOTON]
 NO_NUMPY_CASES = [
+    ("overlaps-cat", ["overlaps"], 0, None),
+    ("overlaps-squeezed", ["overlaps", *SQUEEZED_DESIGN], 0, None),
+    ("overlaps-orthogonal", ["overlaps", "--set", "decoy.kind=orthogonal"], 0, None),
+    ("overlaps-raw", ["overlaps", *RAW_TWO_PHOTON], 0, None),
+    ("overlaps-null-at-n-cut-max", ["overlaps", "--set", "alpha=100", "--set", "decoy.kind=orthogonal"], 0, None),
+    ("usd-raw", ["usd", *RAW_TWO_PHOTON], 0, None),
+    ("eve-raw", ["eve", *RAW_TWO_PHOTON], 0, None),
     ("maxloss", ["maxloss"], 0, None),
     ("maxloss-infeasible", ["maxloss", "--set", "loss.p_d=0.2"], 3, None),
     ("maxloss-mu-sweep", ["maxloss", "--set", MU_SWEEP, "--csv", "{tmp}/loss.csv"], 0, None),
@@ -475,12 +489,56 @@ def test_removed_field_rejected(tmp_path, field):
 
 
 def test_non_degenerate_usd_loads_numpy():
-    # numpy starts with the Fock vectors (the overlaps check column, a raw
-    # decoy's overlaps) and with the sampler, not with the optimizer
-    raw = ["--set", "decoy.kind=raw", "--set", "decoy.amplitudes=[[0, 0], [0, 0], [1, 0]]"]
-    for argv in (["overlaps", *SQUEEZED_DESIGN], ["simulate"], ["usd", *raw]):
+    # of the five commands only simulate loads numpy (its sampler); the
+    # optimizer, the Fock check column and raw decoys do not
+    for argv in (
+        ["overlaps", *SQUEEZED_DESIGN], ["overlaps", *RAW_TWO_PHOTON], ["usd", *RAW_TWO_PHOTON],
+        ["eve", *RAW_TWO_PHOTON], ["simulate"], ["maxloss"],
+    ):
         code, numpy_loaded, err = json.loads(_child(_NO_NUMPY_CHILD, json.dumps(argv)).splitlines()[-1])
-        assert (code, numpy_loaded, err) == (0, True, ""), argv
+        assert (code, numpy_loaded, err) == (0, argv[0] == "simulate", ""), argv
+
+
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        ("[[true, 0], [0, 0]]", "raw decoy requires a list of [re, im] pairs"),
+        ('[[1, 0], "x"]', "raw decoy requires a list of [re, im] pairs"),
+        ("[[1, 0], [0]]", "raw decoy requires a list of [re, im] pairs"),
+        ("[[1, 0, 0], [0, 0]]", "raw decoy requires a list of [re, im] pairs"),
+        ('[[1, 0], [0, "0"]]', "raw decoy requires a list of [re, im] pairs"),
+        ("[[1e200, 0], [0, 0]]", "raw amplitude vector must be normalized"),
+        ("[[1e154, 1e154], [1e154, 1e154]]", "raw amplitude vector must be normalized"),
+    ],
+)
+def test_bad_raw_amplitudes_exit_2(amplitudes, message):
+    # each entry is a [re, im] pair of numbers (not bools); an overflowing norm is
+    # not normalized, and nothing else reaches stderr
+    argv = ["usd", "--set", "decoy.kind=raw", "--set", f"decoy.amplitudes={amplitudes}"]
+    code, numpy_loaded, err = json.loads(_child(_NO_NUMPY_CHILD, json.dumps(argv)).splitlines()[-1])
+    assert (code, numpy_loaded, err) == (2, False, f"config error: decoy.amplitudes: {message}\n")
+
+
+_COUNT_OPTIMIZE_CHILD = """
+import contextlib, io, json, sys
+from usdguard import cli, usd
+calls = []
+solve = usd.optimize_usd
+usd.optimize_usd = lambda *args: calls.append(args) or solve(*args)
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, len(calls), "numpy" in sys.modules, err.getvalue()]))
+"""
+
+
+def test_unwritable_csv_fails_before_any_point_is_solved():
+    # the CSV is opened before the Gram matrix, so a bad path costs no optimizer call
+    sweep = 'sweep={"param": "r", "start": 0.1, "stop": 2, "steps": 2000}'
+    argv = ["usd", *SQUEEZED_DESIGN, "--set", sweep, "--csv", "/nonexistent/x.csv"]
+    code, calls, numpy_loaded, err = json.loads(_child(_COUNT_OPTIMIZE_CHILD, json.dumps(argv)).splitlines()[-1])
+    assert (code, calls, numpy_loaded) == (2, 0, False)
+    assert err.startswith("config error: --csv: ")
 
 
 @pytest.mark.parametrize(

@@ -324,3 +324,34 @@ def test_orthogonal_decoy_prep():
 def test_fock_vector_requires_min_length():
     with pytest.raises(ValueError):
         FockVector(np.array([1.0 + 0j]))
+
+
+@pytest.mark.parametrize("values", [[[1, 0], [0, 1]], np.eye(2), ["1", "0"], 5, [1, None]])
+def test_fock_vector_rejects_anything_but_a_flat_number_sequence(values):
+    with pytest.raises(ValueError):
+        FockVector(values)
+
+
+def _fock_check_vectors():
+    """Random raw vectors and builder outputs, up to N_CUT_MAX."""
+    rng = np.random.default_rng(17)
+    vecs = [_random_raw_prep(rng, int(size)).raw for size in (2, 3, 17, 200, N_CUT_MAX + 1)]
+    vecs += [fock_coherent(0.7, 1.1), fock_cat(3.0, 0.4), fock_squeezed_vacuum(-1.3)]
+    vecs += [fock_coherent(55.0, 2.0), realize(orthogonal_decoy_prep(55.0, 0.3))]
+    with pytest.raises(TruncationError) as failure:
+        fock_squeezed_vacuum(5.0)
+    return vecs + [failure.value.vector]
+
+
+def test_fock_sums_agree_with_numpy():
+    vecs = _fock_check_vectors()
+    assert max(v.n_cut for v in vecs) == N_CUT_MAX
+    for a in vecs:
+        probs = np.abs(a.amplitudes) ** 2
+        assert abs(a.norm_sq() - math.fsum(probs)) <= 1e-15 * a.norm_sq()
+        mean = math.fsum(np.arange(a.n_cut + 1) * probs)
+        assert abs(a.mean_photon_number() - mean) <= 1e-15 * mean
+        for b in vecs:
+            n = max(a.n_cut, b.n_cut)
+            expected = np.vdot(a.padded(n).amplitudes, b.padded(n).amplitudes)
+            assert abs(inner_product(a, b) - expected) <= 1e-15 * math.sqrt(a.norm_sq() * b.norm_sq())
