@@ -24,8 +24,8 @@ from . import channel as ch
 from .config import ConfigError, load_config, require_int, require_number
 
 # states, fock, usd and montecarlo are imported inside the commands that
-# compute with them, after the command's config is validated; numpy loads
-# only with the sampler (simulate).
+# compute with them, after the command's config is validated; none of them
+# loads numpy.
 if TYPE_CHECKING:
     from . import states as st
     from . import usd

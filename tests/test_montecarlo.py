@@ -1,12 +1,13 @@
 """Simulation tests: reproducibility, convergence to the tables, detection."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from usdguard.channel import ChannelModel, CombinedChannel, EveStrategy, ab_table, aeb_table, solve_eve
-from usdguard.montecarlo import SimConfig, SimStats, run_experiment, simulate
+from usdguard.montecarlo import SimConfig, SimStats, _log_pmf_ratio, binomial, multinomial, run_experiment, simulate
 
 from _oracles import pulse_level_counts
 
@@ -93,7 +94,7 @@ def _assert_within_4_sigma(stats: SimStats, expected: np.ndarray):
         for j in range(3):
             p = expected[i, j]
             sigma = math.sqrt(p * (1.0 - p) / n)
-            err = abs(stats.rates[i, j] - p)
+            err = abs(stats.rates[i][j] - p)
             if sigma == 0.0:
                 assert err == 0.0
             else:
@@ -164,7 +165,122 @@ def test_stats_consistency():
     cfg = SimConfig(n_pulses=30_000, nu=0.05, channel=HONEST, seed=1)
     stats = simulate(cfg)
     assert int(stats.counts.sum()) == cfg.n_pulses
-    assert np.allclose(stats.rates.sum(axis=1), 1.0)
+    assert np.allclose([sum(row) for row in stats.rates], 1.0)
     d = stats.to_dict()
     assert d["n_decoys_detected"] == stats.n_decoys_detected
     assert np.array(d["counts"]).sum() == cfg.n_pulses
+
+
+DOMAIN_P = [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-16, 1.0]
+DOMAIN_N = [1, 2, 10**6, 10**18, 2**63 - 1]
+
+
+@pytest.mark.parametrize("n", DOMAIN_N)
+def test_sampler_covers_its_whole_domain(n):
+    # includes the geometric gap that overflows to inf (p = 5e-324) and the
+    # weights whose remaining sum is 0
+    rng = random.Random(n)
+    for p in DOMAIN_P:
+        x = binomial(rng, n, p)
+        assert type(x) is int and 0 <= x <= n, (p, x)
+        for weights in ((p, 1.0 - p, p), (1.0 - p, p, 0.0)):
+            counts = multinomial(rng, n, weights)
+            assert all(type(c) is int and 0 <= c <= n for c in counts) and sum(counts) == n, (p, weights, counts)
+
+
+def _binomial_pmf(n: int, p: float, k: int) -> float:
+    return math.exp(
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [
+        (40, 0.1),  # geometric, n p = 4
+        (1000, 0.0099),  # geometric just below the switch, n p = 9.9
+        (1000, 0.0101),  # BTRS just above it, n p = 10.1
+        (200, 0.35),  # BTRS
+        (60, 0.95),  # reflected geometric, n (1 - p) = 3
+        (500, 0.8),  # reflected BTRS
+    ],
+)
+def test_binomial_matches_its_pmf(n, p):
+    """Chi-square of 50,000 draws against the lgamma pmf, outer bins pooled to >= 20 expected."""
+    draws, rng = 50_000, random.Random(0)
+    seen = [0] * (n + 1)
+    for _ in range(draws):
+        seen[binomial(rng, n, p)] += 1
+    expected = [draws * _binomial_pmf(n, p, k) for k in range(n + 1)]
+    # pool each tail into its neighbour until every bin expects at least 20 draws
+    lo, hi = 0, n
+    while expected[lo] < 20.0:
+        expected[lo + 1] += expected[lo]
+        seen[lo + 1] += seen[lo]
+        lo += 1
+    while expected[hi] < 20.0:
+        expected[hi - 1] += expected[hi]
+        seen[hi - 1] += seen[hi]
+        hi -= 1
+    chi2 = sum((seen[k] - expected[k]) ** 2 / expected[k] for k in range(lo, hi + 1))
+    dof = hi - lo
+    # Wilson-Hilferty: z is standard normal under the pmf; 5 sigma is a 3e-7 false alarm
+    z = ((chi2 / dof) ** (1.0 / 3.0) - (1.0 - 2.0 / (9.0 * dof))) / math.sqrt(2.0 / (9.0 * dof))
+    assert dof >= 5 and z < 5.0, (chi2, dof, z)
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [
+        (10**6, 0.3),
+        (10**9, 0.5),
+        (10**12, 0.01),
+        (10**12, 3e-12),  # p near 0: geometric, n p = 3
+        (10**12, 2e-11),  # p near 0: BTRS, n p = 20
+        (10**12, 1.0 - 2e-11),  # p near 1: reflected BTRS
+        (10**18, 0.5),
+        (2**63 - 1, 0.25),
+    ],
+)
+def test_binomial_mean_and_variance_within_4_sigma(n, p):
+    draws, rng = 4_000, random.Random(1)
+    xs = [binomial(rng, n, p) for _ in range(draws)]
+    q = 1.0 - p  # exact for p >= 1/2, the reflected case
+    mean, var = n * p, n * p * q
+    got_mean = math.fsum(xs) / draws
+    # the deviations are taken from the integer mean so that no float loses them
+    centre = round(mean)
+    got_var = math.fsum(float(x - centre) ** 2 for x in xs) / (draws - 1) - (got_mean - centre) ** 2 * draws / (draws - 1)
+    mu4 = var * (1.0 + 3.0 * (n - 2) * p * q)
+    se_var = math.sqrt((mu4 - var**2 * (draws - 3) / (draws - 1)) / draws)
+    assert abs(got_mean - mean) <= 4.0 * math.sqrt(var / draws), (got_mean, mean)
+    assert abs(got_var - var) <= 4.0 * se_var, (got_var, var)
+
+
+@pytest.mark.parametrize("n, p", [(20, 0.5), (100, 0.3), (1000, 0.011), (10**5, 0.2)])
+def test_acceptance_log_ratio_matches_lgamma_at_small_n(n, p):
+    m = math.floor((n + 1) * p)
+    for k in range(n + 1):
+        direct = (
+            math.lgamma(m + 1) + math.lgamma(n - m + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + (k - m) * math.log(p / (1.0 - p))
+        )
+        assert abs(_log_pmf_ratio(n, p, m, k) - direct) <= 1e-9 * max(1.0, abs(direct)), k
+
+
+@pytest.mark.parametrize("n", [10**14, 10**16, 10**18, 2**63 - 2])
+def test_acceptance_log_ratio_stays_accurate_at_large_n(n):
+    # at p = 1/2 and k = m + d, the log ratio is -d^2 / (2 n p q) to within
+    # about (d / n) + d^4 / n^3 (here < 1e-8); lgamma itself is off by ~1e-16 n log n
+    sigma = math.sqrt(n / 4.0)
+    m = (n + 1) // 2
+    for z in (-4.0, -1.0, 0.5, 3.0):
+        d = round(z * sigma)
+        assert abs(_log_pmf_ratio(n, 0.5, m, m + d) + d * d / (n / 2.0)) <= 1e-6, z
+
+
+def test_large_draws_keep_their_units_digit():
+    # as a float, n p + 1/2 is a multiple of 2**10 here; the hat's centre is kept as an integer
+    rng = random.Random(2)
+    draws = [binomial(rng, 2**63 - 1, 0.5) for _ in range(200)]
+    assert len({x % 2**10 for x in draws}) > 150
