@@ -6,10 +6,15 @@ vectors are the independent check on the exact overlaps of `states`
 (the `overlaps` report's numeric column and the tests); a raw decoy's
 overlaps are the finite sums over its support.
 
-The vectors are tuples of Python complex numbers, at most N_CUT_MAX + 1
-long, with every sum taken by math.fsum, so this module loads without
-numpy; FockVector.amplitudes builds the array on demand.  `states`
-imports it only for raw decoys and for the names it forwards.
+One truncation rule: a given n_cut is exactly the cutoff; None starts at
+64 and doubles, up to N_CUT_MAX, until the discarded tail mass is below
+TAIL_TOL (TruncationError if it never is).  A raw decoy keeps its own
+length; a built vector is at most N_CUT_MAX + 1 long when grown.
+
+The vectors are tuples of Python complex numbers, with every sum taken
+by math.fsum, so this module loads without numpy; FockVector.amplitudes
+builds the array on demand.  `states` imports it only for raw decoys
+and for the names it forwards.
 """
 
 from __future__ import annotations
@@ -32,13 +37,13 @@ if TYPE_CHECKING:
 
 
 class TruncationError(RuntimeError):
-    """Raised when the tail mass is still tail_tol or more at N_CUT_MAX.
+    """Raised when the tail mass is still TAIL_TOL or more at N_CUT_MAX.
 
     vector is the truncation reached, with its tail mass.
     """
 
-    def __init__(self, vector: FockVector, tail_tol: float):
-        super().__init__(f"tail mass {vector.tail_mass:.3e} >= {tail_tol:.1e} at n_cut={vector.n_cut}")
+    def __init__(self, vector: FockVector):
+        super().__init__(f"tail mass {vector.tail_mass:.3e} >= {TAIL_TOL:.1e} at n_cut={vector.n_cut}")
         self.vector = vector
 
 
@@ -92,12 +97,6 @@ class FockVector:
 
     def mean_photon_number(self) -> float:
         return fsum(n * (z.real * z.real + z.imag * z.imag) for n, z in enumerate(self.values))
-
-    def padded(self, n_cut: int) -> "FockVector":
-        """Zero-pad up to n_cut (no-op if already at least that long)."""
-        if n_cut <= self.n_cut:
-            return self
-        return FockVector(self.values + (0j,) * (n_cut - self.n_cut), self.tail_mass)
 
 
 def raw_prep(amplitudes: Sequence[complex]) -> StatePrep:
@@ -157,61 +156,34 @@ def _orthogonal_amplitudes(alpha: float, phi: float, n_cut: int) -> list[complex
     return [z / nu for z in amps[: n_cut + 1]]
 
 
-def _amplitudes(prep: StatePrep, n_cut: int) -> Sequence[complex]:
-    """Amplitudes 0..n_cut of prep's exact state (a raw vector is cut or zero-padded)."""
-    if prep.kind is StateKind.COHERENT:
-        return _coherent_amplitudes(prep.alpha, prep.phi, n_cut)
-    if prep.kind is StateKind.CAT:
-        return _cat_amplitudes(prep.alpha, prep.phi, n_cut)
-    if prep.kind is StateKind.SQUEEZED_VACUUM:
-        return _squeezed_amplitudes(prep.r, n_cut)
-    if prep.kind is StateKind.ORTHOGONAL:
-        return _orthogonal_amplitudes(prep.alpha, prep.phi, n_cut)
-    return prep.raw.padded(n_cut).values[: n_cut + 1]
-
-
 def raw_overlap(a: StatePrep, raw: FockVector) -> complex:
     """<a|raw>, exact: the finite sum over the raw vector's support."""
-    return _vdot(_amplitudes(a, raw.n_cut), raw.values)
+    return _vdot(realize(a, raw.n_cut).values, raw.values)
 
 
-def _build_with_auto_grow(build, n_cut, tail_tol, auto_grow) -> FockVector:
-    if n_cut < 1:
+def _truncated(build, n_cut: int | None) -> FockVector:
+    """build(n) as a FockVector, n by the module's truncation rule."""
+    if n_cut is not None and n_cut < 1:
         raise ValueError("n_cut must be >= 1")
-    n = n_cut
+    n = n_cut or 64
     while True:
         amps = build(n)
         tail = max(0.0, 1.0 - _norm_sq(amps))
-        if tail < tail_tol or not auto_grow:
+        if n_cut is not None or tail < TAIL_TOL:
             return FockVector(amps, tail)
         if n >= N_CUT_MAX:
-            raise TruncationError(FockVector(amps, tail), tail_tol)
+            raise TruncationError(FockVector(amps, tail))
         n = min(2 * n, N_CUT_MAX)
 
 
-def fock_coherent(
-    alpha: float,
-    phi: float = 0.0,
-    n_cut: int = 64,
-    tail_tol: float = TAIL_TOL,
-    auto_grow: bool = True,
-) -> FockVector:
-    """Coherent state |alpha e^{i phi}>: amplitude_n = e^{-a^2/2} (a e^{i phi})^n / sqrt(n!).
-
-    The truncation grows in powers of two, up to N_CUT_MAX, until the
-    discarded tail mass drops below tail_tol (unless auto_grow is disabled).
-    """
+def fock_coherent(alpha: float, phi: float = 0.0, n_cut: int | None = None) -> FockVector:
+    """Coherent state |alpha e^{i phi}>: amplitude_n = e^{-a^2/2} (a e^{i phi})^n / sqrt(n!)."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return _build_with_auto_grow(lambda n: _coherent_amplitudes(alpha, phi, n), n_cut, tail_tol, auto_grow)
+    return _truncated(lambda n: _coherent_amplitudes(alpha, phi, n), n_cut)
 
 
-def fock_squeezed_vacuum(
-    r: float,
-    n_cut: int = 64,
-    tail_tol: float = TAIL_TOL,
-    auto_grow: bool = True,
-) -> FockVector:
+def fock_squeezed_vacuum(r: float, n_cut: int | None = None) -> FockVector:
     """Squeezed vacuum |0, r>: only even photon numbers are populated.
 
     amplitude_{2n} = (cosh r)^{-1/2} sqrt((2n)!)/(2^n n!) (tanh r)^n.
@@ -220,20 +192,14 @@ def fock_squeezed_vacuum(
     """
     if not abs(r) < R_MAX:
         raise ValueError(f"squeezing parameter must satisfy |r| < {R_MAX:g}")
-    return _build_with_auto_grow(lambda n: _squeezed_amplitudes(r, n), n_cut, tail_tol, auto_grow)
+    return _truncated(lambda n: _squeezed_amplitudes(r, n), n_cut)
 
 
-def fock_cat(
-    alpha: float,
-    phi: float = 0.0,
-    n_cut: int = 64,
-    tail_tol: float = TAIL_TOL,
-    auto_grow: bool = True,
-) -> FockVector:
+def fock_cat(alpha: float, phi: float = 0.0, n_cut: int | None = None) -> FockVector:
     """Even cat state (|alpha e^{i phi}> + |-alpha e^{i phi}>) / sqrt(2(1+e^{-2 a^2}))."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    return _build_with_auto_grow(lambda n: _cat_amplitudes(alpha, phi, n), n_cut, tail_tol, auto_grow)
+    return _truncated(lambda n: _cat_amplitudes(alpha, phi, n), n_cut)
 
 
 def inner_product(a: FockVector, b: FockVector) -> complex:
@@ -241,21 +207,14 @@ def inner_product(a: FockVector, b: FockVector) -> complex:
     return _vdot(a.values, b.values)
 
 
-def realize(
-    prep: StatePrep,
-    n_cut: int = 64,
-    tail_tol: float = TAIL_TOL,
-    auto_grow: bool = True,
-) -> FockVector:
-    """Materialize a StatePrep as a truncated Fock vector."""
+def realize(prep: StatePrep, n_cut: int | None = None) -> FockVector:
+    """Materialize a StatePrep as a truncated Fock vector; a raw one is returned as is."""
     if prep.kind is StateKind.COHERENT:
-        return fock_coherent(prep.alpha, prep.phi, n_cut, tail_tol, auto_grow)
+        return fock_coherent(prep.alpha, prep.phi, n_cut)
     if prep.kind is StateKind.CAT:
-        return fock_cat(prep.alpha, prep.phi, n_cut, tail_tol, auto_grow)
+        return fock_cat(prep.alpha, prep.phi, n_cut)
     if prep.kind is StateKind.SQUEEZED_VACUUM:
-        return fock_squeezed_vacuum(prep.r, n_cut, tail_tol, auto_grow)
+        return fock_squeezed_vacuum(prep.r, n_cut)
     if prep.kind is StateKind.ORTHOGONAL:
-        return _build_with_auto_grow(
-            lambda n: _orthogonal_amplitudes(prep.alpha, prep.phi, n), n_cut, tail_tol, auto_grow
-        )
+        return _truncated(lambda n: _orthogonal_amplitudes(prep.alpha, prep.phi, n), n_cut)
     return prep.raw

@@ -36,9 +36,9 @@ def test_criterion_1_overlap_correctness():
     for _ in range(20):
         alpha = float(rng.uniform(0.0, 2.0))
         r = float(rng.uniform(0.0, 1.5))
-        plus = fock_coherent(alpha, 0.0, 128, auto_grow=False)
-        minus = fock_coherent(alpha, math.pi, 128, auto_grow=False)
-        sq = fock_squeezed_vacuum(r, 128, auto_grow=False)
+        plus = fock_coherent(alpha, 0.0, 128)
+        minus = fock_coherent(alpha, math.pi, 128)
+        sq = fock_squeezed_vacuum(r, 128)
         s12 = inner_product(plus, minus)
         assert abs(s12 - math.exp(-2.0 * alpha**2)) < 1e-8
         s13 = inner_product(plus, sq)

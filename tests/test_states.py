@@ -25,7 +25,7 @@ from usdguard.states import (
     signal_preps,
     squeezed_prep,
 )
-from usdguard.tolerances import N_CUT_MAX, NUM_TOL
+from usdguard.tolerances import N_CUT_MAX, NUM_TOL, TAIL_TOL
 
 EXP_M0125 = 0.8824969025845955  # exp(-0.125)
 EXP_M05 = 0.6065306597126334  # exp(-0.5)
@@ -83,7 +83,7 @@ def test_squeezed_matches_recurrence_oracle():
 def test_squeezed_normalization_converges():
     rng = np.random.default_rng(1)
     for r in rng.uniform(-1.5, 1.5, 5):
-        v = fock_squeezed_vacuum(float(r), 64)
+        v = fock_squeezed_vacuum(float(r))
         assert abs(v.norm_sq() - 1.0) < 1e-11
 
 
@@ -137,7 +137,7 @@ def test_inner_product_coherent_squeezed():
 
 
 def test_inner_product_pads_shorter_vector():
-    a = fock_coherent(0.5, 0.0, 16, auto_grow=False)
+    a = fock_coherent(0.5, 0.0, 16)
     b = fock_coherent(0.5, 0.0, 64)
     assert abs(inner_product(a, b) - 1.0) < 1e-10
 
@@ -217,9 +217,9 @@ def test_closed_vs_numeric_overlaps_random():
     for _ in range(20):
         alpha = float(rng.uniform(0.0, 2.0))
         r = float(rng.uniform(0.0, 1.5))
-        coh_p = fock_coherent(alpha, 0.0, 128, tail_tol=1e-6, auto_grow=False)
-        coh_m = fock_coherent(alpha, math.pi, 128, tail_tol=1e-6, auto_grow=False)
-        sq = fock_squeezed_vacuum(r, 128, tail_tol=1e-6, auto_grow=False)
+        coh_p = fock_coherent(alpha, 0.0, 128)
+        coh_m = fock_coherent(alpha, math.pi, 128)
+        sq = fock_squeezed_vacuum(r, 128)
         assert abs(inner_product(coh_p, coh_m) - math.exp(-2 * alpha**2)) < 1e-8
         closed = closed_overlap(coherent_prep(alpha), squeezed_prep(r))
         assert abs(inner_product(coh_p, sq) - closed) < 1e-8
@@ -273,22 +273,52 @@ def test_normalization_invariant():
 
 
 def test_auto_grow_and_truncation_failure():
-    v = fock_coherent(2.0, 0.0, 2)
-    assert v.n_cut > 2 and v.tail_mass < 1e-12
+    v = fock_coherent(8.0)
+    assert v.n_cut > 64 and v.tail_mass < 1e-12
     with pytest.raises(TruncationError) as failure:
         fock_squeezed_vacuum(5.0)
     assert failure.value.vector.n_cut == N_CUT_MAX
     assert abs(failure.value.vector.tail_mass - 0.388) < 1e-3
+    assert ">= 1.0e-12 at n_cut=4096" in str(failure.value)
 
 
 def test_coarse_truncation_shows_in_the_fock_sum_only():
     # at n_cut = 2 the signals keep only |0>, |1>, |2>: <a|-a> sums to (1 - 1 + 1/2) e^{-1}
     preps = (*signal_preps(1.0), cat_prep(1.0))
-    vecs = [realize(p, n_cut=2, tail_tol=0.1) for p in preps]
+    vecs = [realize(p, n_cut=2) for p in preps]
     assert [v.n_cut for v in vecs] == [2, 2, 2]
     assert all(0.0 < v.tail_mass < 0.1 for v in vecs)
     assert closed_overlap(preps[0], preps[1]).real == math.exp(-2.0)
     assert abs(inner_product(vecs[0], vecs[1]).real - 0.5 * math.exp(-1.0)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "prep, n_cuts",
+    [
+        (coherent_prep(8.0, 0.3), (1, 2, 64)),
+        (cat_prep(8.0, 0.3), (1, 2, 64)),
+        (squeezed_prep(-1.5), (1, 2, 64)),
+        # the orthogonal decoy's tail at 64 is below TAIL_TOL at every alpha
+        (orthogonal_decoy_prep(1.0, 0.3), (1, 2)),
+    ],
+    ids=["coherent", "cat", "squeezed", "orthogonal"],
+)
+def test_given_n_cut_never_grows(prep, n_cuts):
+    for n_cut in n_cuts:
+        v = realize(prep, n_cut)
+        assert v.n_cut == n_cut and v.tail_mass >= TAIL_TOL
+    grown = realize(prep)
+    assert grown.n_cut > max(n_cuts) and grown.tail_mass < TAIL_TOL
+    with pytest.raises(ValueError):
+        realize(prep, 0)
+
+
+@pytest.mark.parametrize("sizes", [(3, 7), (7, 3)])
+def test_raw_overlap_counts_the_shorter_vector_as_zero_padded(sizes):
+    rng = np.random.default_rng(23)
+    a, b = (_random_raw_prep(rng, size) for size in sizes)
+    a_pad, b_pad = (np.pad(p.raw.amplitudes, (0, max(sizes) - len(p.raw.values))) for p in (a, b))
+    assert abs(closed_overlap(a, b) - np.vdot(a_pad, b_pad)) <= 1e-15
 
 
 @pytest.mark.parametrize("phi", [1e15, 1e17, -1.7e308])
@@ -353,5 +383,5 @@ def test_fock_sums_agree_with_numpy():
         assert abs(a.mean_photon_number() - mean) <= 1e-15 * mean
         for b in vecs:
             n = max(a.n_cut, b.n_cut)
-            expected = np.vdot(a.padded(n).amplitudes, b.padded(n).amplitudes)
+            expected = np.vdot(np.pad(a.amplitudes, (0, n - a.n_cut)), np.pad(b.amplitudes, (0, n - b.n_cut)))
             assert abs(inner_product(a, b) - expected) <= 1e-15 * math.sqrt(a.norm_sq() * b.norm_sq())
