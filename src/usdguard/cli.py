@@ -188,6 +188,8 @@ def _csv_writer(path: str, header: list[str]):
 
 
 def _emit(report: dict) -> None:
+    # every report echoes the resolved config, which holds only JSON
+    # values, as "inputs" so that it is self-describing
     sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
 
 
@@ -226,7 +228,7 @@ def cmd_overlaps(cfg: dict) -> int:
         },
         "symmetric": gram.is_symmetric(),
     }
-    _emit({"command": "overlaps", "inputs": _echo_inputs(cfg), "result": result})
+    _emit({"command": "overlaps", "inputs": cfg, "result": result})
     return EXIT_OK
 
 
@@ -286,7 +288,7 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
         "solution": dataclasses.asdict(solution),
         "sweep": sweep_info,
     }
-    _emit({"command": "usd", "inputs": _echo_inputs(cfg), "result": result})
+    _emit({"command": "usd", "inputs": cfg, "result": result})
     return EXIT_INFEASIBLE if solution.degenerate else EXIT_OK
 
 
@@ -336,7 +338,7 @@ def cmd_eve(cfg: dict) -> int:
             "attack_excluded": bool(p_d < model.d),
         },
     }
-    _emit({"command": "eve", "inputs": _echo_inputs(cfg), "result": result})
+    _emit({"command": "eve", "inputs": cfg, "result": result})
     return EXIT_OK if solve.feasible else EXIT_INFEASIBLE
 
 
@@ -356,7 +358,7 @@ def cmd_simulate(cfg: dict) -> int:
         "stats": stats.to_dict(),
         "verdict": {**dataclasses.asdict(verdict), "confidence": verdict.confidence},
     }
-    _emit({"command": "simulate", "inputs": _echo_inputs(cfg), "result": result})
+    _emit({"command": "simulate", "inputs": cfg, "result": result})
     return EXIT_OK
 
 
@@ -391,13 +393,8 @@ def cmd_maxloss(cfg: dict, csv_path: str | None) -> int:
         "feasible": loss is not None,
         "sweep": sweep_info,
     }
-    _emit({"command": "maxloss", "inputs": _echo_inputs(cfg), "result": result})
+    _emit({"command": "maxloss", "inputs": cfg, "result": result})
     return EXIT_OK if loss is not None else EXIT_INFEASIBLE
-
-
-def _echo_inputs(cfg: dict) -> dict:
-    # the resolved config is echoed so a report is self-describing
-    return json.loads(json.dumps(cfg, sort_keys=True))
 
 
 def build_parser() -> argparse.ArgumentParser:

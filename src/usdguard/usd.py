@@ -229,8 +229,16 @@ def optimize_usd(g: GramData, nu: float) -> UsdSolution:
     is feasible when A0's smallest eigenvalue from the two-block
     spectrum (a0_spectrum; a zero determinant alone does not certify
     positivity) is >= -NUM_TOL; the spectrum also gives the reported
-    min_eig_a0 and the on_det_zero verdict.  Degenerate geometry means
-    discrimination is impossible: returns (0, 0, 1).
+    min_eig_a0 and the on_det_zero verdict.
+
+    Three regimes, in this order:
+    - degenerate geometry: discrimination is impossible, (P_S, P_D, P0)
+      = (0, 0, 1);
+    - a decoupled decoy (S13 = S23 = 0, exactly): A0 splits into the
+      signal block, PSD iff P_S <= 1 - |S12| (the two-state
+      Ivanovic-Dieks-Peres bound), and the decoy entry 1 - P_D, so the
+      exact optimum (1 - |S12|, 1) is returned without a search;
+    - anything else: the search above.
     """
     if not (0.0 < nu < 1.0):
         raise ValueError("nu must lie in (0, 1)")
@@ -238,8 +246,10 @@ def optimize_usd(g: GramData, nu: float) -> UsdSolution:
     if geom.degenerate:
         return UsdSolution(0.0, 0.0, 1.0, 1.0, False, True, nu)
     s12, _ = _require_symmetric(g)
-    delta = gram_delta(g)
     spectrum = a0_spectrum(geom, s12)
+    if g.s13 == 0.0 and g.s23 == 0.0:
+        return _solution(spectrum, nu, 1.0 - abs(g.s12), 1.0)
+    delta = gram_delta(g)
     tol = 1e-10  # the width in P_S or P_D at which the refinement and bisections stop
 
     def feasible(p_s: float, p_d: float) -> bool:
@@ -286,7 +296,13 @@ def optimize_usd(g: GramData, nu: float) -> UsdSolution:
         if val > best_obj + 1e-12 or (abs(val - best_obj) <= 1e-12 and p_s > best[0]):
             best, best_obj = (p_s, p_d), val
 
-    p_s, p_d = best
+    return _solution(spectrum, nu, *best)
+
+
+def _solution(
+    spectrum: Callable[[float, float], tuple[float, float]], nu: float, p_s: float, p_d: float
+) -> UsdSolution:
+    """The optimum (p_s, p_d) with its A0 diagnostics and inconclusive rate."""
     min_eig, det = spectrum(p_s, p_d)
     p0 = min(1.0, max(0.0, 1.0 - (1.0 - nu) * p_s - nu * p_d))
     return UsdSolution(

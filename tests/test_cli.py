@@ -93,8 +93,7 @@ def test_usd_orthogonal(capsys):
     )
     assert code == 0
     sol = report["result"]["solution"]
-    assert abs(sol["p_s"] - (1.0 - EXP_M05)) < 1e-6
-    assert abs(sol["p_d"] - 1.0) < 1e-9
+    assert sol["p_s"] == 1.0 - EXP_M05 and sol["p_d"] == 1.0
 
 
 def test_usd_sweep_csv(capsys, tmp_path):

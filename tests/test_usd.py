@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from _oracles import explicit_a0_entries, grid_oracle, random_symmetric_gram, random_unit_vectors_gram
+from usdguard import usd
 from usdguard.decoy import optimal_alpha
 from usdguard.states import (
     GramData,
@@ -14,9 +15,10 @@ from usdguard.states import (
     coherent_prep,
     gram_from_preps,
     orthogonal_decoy_prep,
+    signal_preps,
     squeezed_prep,
 )
-from usdguard.tolerances import GRAM_DET_FLOOR
+from usdguard.tolerances import GRAM_DET_FLOOR, NUM_TOL
 from usdguard.usd import (
     a0_spectrum,
     build_a0,
@@ -245,12 +247,42 @@ def test_optimize_cat_decoy_disables_attack():
         assert (sol.p_s, sol.p_d, sol.p0) == (0.0, 0.0, 1.0)
 
 
-def test_optimize_orthogonal_decoy_hits_two_state_bound():
-    sol = optimize_usd(GramData(EXP_M05, 0.0, 0.0), 0.1)
-    assert abs(sol.p_s - TWO_STATE_BOUND) < 1e-6
-    assert abs(sol.p_d - 1.0) < 1e-9
-    assert sol.min_eig_a0 >= -1e-10
+@pytest.mark.parametrize("s12", [EXP_M05, 0.3, 0.0, -0.3, -0.9], ids=["exp(-0.5)", "0.3", "0", "-0.3", "-0.9"])
+def test_optimize_orthogonal_decoy_hits_two_state_bound(s12):
+    sol = optimize_usd(GramData(s12, 0.0, 0.0), 0.1)
+    assert sol.p_s == 1.0 - abs(s12) and sol.p_d == 1.0
+    assert not sol.degenerate and sol.on_det_zero
+    assert sol.min_eig_a0 >= -NUM_TOL
     assert abs(sol.p0 - (1.0 - 0.9 * sol.p_s - 0.1 * sol.p_d)) < 1e-12
+
+
+def test_optimize_orthogonal_decoy_prep_matches_grid_oracle():
+    # a decoy orthogonal to both signals at random alpha and nu: the exact
+    # optimum is feasible and no feasible point of a 0.01 grid beats it
+    rng = np.random.default_rng(61)
+    for _ in range(12):
+        alpha = float(rng.uniform(0.05, 10.0))
+        nu = float(rng.uniform(1e-3, 0.99))
+        g = gram_from_preps(*signal_preps(alpha), orthogonal_decoy_prep(alpha))
+        assert g.s13 == 0.0 and g.s23 == 0.0
+        sol = optimize_usd(g, nu)
+        assert sol.p_s == 1.0 - abs(g.s12) and sol.p_d == 1.0
+        assert sol.min_eig_a0 >= -NUM_TOL
+        obj = (1.0 - nu) * sol.p_s + nu * sol.p_d
+        oracle_obj, _ = grid_oracle(g, nu, step=0.01)
+        assert oracle_obj - 1e-9 <= obj <= oracle_obj + 0.01
+
+
+def test_optimize_decoupled_decoy_makes_no_search_probe(monkeypatch):
+    def probe(*args):
+        raise AssertionError("search probe")
+
+    monkeypatch.setattr(usd, "sampled_golden_max", probe)
+    monkeypatch.setattr(usd, "bisect_last_true", probe)
+    sol = optimize_usd(GramData(EXP_M05, 0.0, 0.0), 0.1)
+    assert (sol.p_s, sol.p_d) == (TWO_STATE_BOUND, 1.0)
+    with pytest.raises(AssertionError, match="search probe"):
+        optimize_usd(GramData(EXP_M05, 0.3, 0.3), 0.1)
 
 
 def test_optimize_squeezed_matches_grid_oracle():
