@@ -61,9 +61,18 @@ def sampled_golden_max(
 
     Guards against missing a narrow mode; the grid winner's neighborhood
     is handed to golden_max.
+
+    f must be -inf on a suffix of [lo, hi]: once a grid sample returns
+    -inf, every larger one would too.  The scan stops there and counts
+    the rest as -inf, so the winner, its bracket and the tie-break toward
+    larger x are those of the full scan.
     """
     xs = [lo + (hi - lo) * i / n_samples for i in range(n_samples + 1)]
-    fs = [f(x) for x in xs]
+    fs = [-math.inf] * len(xs)
+    for i, x in enumerate(xs):
+        fs[i] = f(x)
+        if fs[i] == -math.inf:
+            break
     i_best = max(range(len(xs)), key=lambda i: (fs[i], xs[i]))
     a = xs[max(i_best - 1, 0)]
     b = xs[min(i_best + 1, n_samples)]

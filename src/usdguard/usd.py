@@ -272,10 +272,12 @@ def optimize_usd(g: GramData, nu: float) -> UsdSolution:
 
     candidates: list[tuple[float, float]] = [(0.0, pd_on_curve(0.0))]
 
+    # the curve objective is feasible on a prefix [0, cliff] of P_S, so the
+    # bracketing grid stops at its first infeasible sample
     ps_star, _ = sampled_golden_max(curve_objective, 0.0, 1.0, 1024, tol)
     candidates.append((ps_star, pd_on_curve(ps_star)))
 
-    # feasibility cliff along the curve: the feasible stretch starts at 0
+    # the cliff itself, when the feasible stretch is not empty
     if feasible(0.0, pd_on_curve(0.0)):
         ps_edge = bisect_last_true(lambda x: curve_objective(x) > -math.inf, 0.0, 1.0, tol)
         candidates.append((ps_edge, pd_on_curve(ps_edge)))

@@ -2,12 +2,20 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
-from _oracles import explicit_a0_entries, grid_oracle, random_symmetric_gram, random_unit_vectors_gram
-from usdguard import usd
+from _oracles import (
+    explicit_a0_entries,
+    grid_oracle,
+    grid_oracle_full,
+    random_symmetric_gram,
+    random_unit_vectors_gram,
+    sampled_golden_max_full,
+)
+from usdguard import golden, usd
 from usdguard.decoy import optimal_alpha
 from usdguard.states import (
     GramData,
@@ -305,6 +313,54 @@ def test_optimizer_dominates_grid_oracle_random():
         oracle_obj, _ = grid_oracle(g, nu)
         assert obj >= oracle_obj - 1e-3
         assert sol.min_eig_a0 >= -1e-10
+
+
+def test_bisected_grid_oracle_matches_the_full_grid():
+    rng = np.random.default_rng(11)
+    for gen in (random_symmetric_gram, random_unit_vectors_gram):
+        for _ in range(3):
+            g, nu = gen(rng), float(rng.uniform(0.01, 0.5))
+            assert grid_oracle(g, nu, step=2e-3) == grid_oracle_full(g, nu, step=2e-3)
+
+
+def _random_squeezed_case(rng: random.Random, near_decoupled: bool) -> tuple[GramData, float]:
+    """A squeezed-decoy Gram matrix and nu; near-decoupled ones have |S13| in [1e-10, 1e-8]."""
+    while True:
+        alpha = rng.uniform(5.7, 7.5) if near_decoupled else math.exp(rng.uniform(math.log(0.05), math.log(8.0)))
+        phi = rng.choice([0.0, rng.uniform(-math.pi, math.pi), 1e17])
+        g = gram_from_preps(*signal_preps(alpha, phi), squeezed_prep(rng.uniform(0.01, 2.5)))
+        if not near_decoupled or 1e-10 <= abs(g.s13) <= 1e-8:
+            return g, math.exp(rng.uniform(math.log(1e-3), math.log(0.99)))
+
+
+def test_optimize_matches_a_full_grid_scan_bit_for_bit(monkeypatch):
+    # the curve objective is feasible on a prefix of P_S, so stopping the
+    # bracketing grid at its first infeasible sample changes no digit
+    rng = random.Random(23)
+    cases = [_random_squeezed_case(rng, k % 5 == 0) for k in range(500)]
+    fast = [repr(optimize_usd(g, nu)) for g, nu in cases]
+    monkeypatch.setattr(usd, "sampled_golden_max", sampled_golden_max_full)
+    assert [repr(optimize_usd(g, nu)) for g, nu in cases] == fast
+
+
+def test_optimize_grid_stops_at_the_feasibility_cliff(monkeypatch):
+    # the curve's feasible stretch ends at P_S ~ 0.19 here
+    g = gram_from_preps(*signal_preps(1.0), squeezed_prep(0.3))
+    search, calls = usd.sampled_golden_max, []
+
+    def counting_search(f, *args):
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        return search(counted, *args)
+
+    refine, grid_calls = golden.golden_max, []
+    monkeypatch.setattr(usd, "sampled_golden_max", counting_search)
+    monkeypatch.setattr(golden, "golden_max", lambda *args: grid_calls.append(len(calls)) or refine(*args))
+    sol = optimize_usd(g, 0.1)
+    assert 0.15 < sol.p_s < 0.25
+    assert grid_calls and grid_calls[0] <= 0.25 * 1025 + 2
 
 
 def test_optimal_ps_non_increasing_in_s12():
