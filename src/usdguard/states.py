@@ -130,8 +130,10 @@ def cat_norm(alpha: float) -> float:
 
 
 def _overlap_coherent_coherent(b1: complex, b2: complex) -> complex:
-    # <b1|b2> = exp(-|b1|^2/2 - |b2|^2/2 + conj(b1) b2)
-    return cmath.exp(-0.5 * abs(b1) ** 2 - 0.5 * abs(b2) ** 2 + b1.conjugate() * b2)
+    # <b1|b2> = exp(-|b1 - b2|^2/2 + i Im(conj(b1) b2)); summing the three
+    # O(|b|^2) terms of -|b1|^2/2 - |b2|^2/2 + conj(b1) b2 instead leaves an
+    # error of ~|b|^2 eps, which puts a large-alpha cat decoy off the span
+    return cmath.exp(complex(-0.5 * abs(b1 - b2) ** 2, (b1.conjugate() * b2).imag))
 
 
 def _overlap_coherent_squeezed(b: complex, r: float) -> complex:

@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from usdguard.cli import SWEEP_STEPS_MAX, _sweep_values, main
+from usdguard.cli import SWEEP_STEPS_MAX, _gram, _optimize, _preps, _sweep_values, main
 from usdguard.config import REMOVED
 from usdguard.states import R_MAX
 from usdguard.tolerances import N_CUT_MAX
@@ -78,6 +78,25 @@ def test_usd_cat_degenerate_at_large_alpha(capsys, alpha):
     code, report = run_cli(capsys, "usd", "--set", f"alpha={alpha}")
     assert code == 3
     assert report["result"]["geometry"] == {"l": 1.0, "m": 0.0, "degenerate": True}
+
+
+CAT_SCAN_ALPHAS = np.geomspace(1e-6, 60.0, 2000).tolist()
+CAT_SCAN_PHIS = (0.0, 1.0, -2.5, 1e17)
+
+
+def test_cat_decoy_is_degenerate_at_every_alpha_and_phase(capsys):
+    # the chain `usd` runs (preps, Gram matrix, optimizer) over a dense
+    # alpha grid, and `usd` itself on every 50th point
+    cfg = {"decoy": {"kind": "cat"}}
+    live = []
+    for phi in CAT_SCAN_PHIS:
+        for alpha in CAT_SCAN_ALPHAS:
+            if not _optimize(_gram(_preps(cfg, alpha, phi)), 0.01).degenerate:
+                live.append((alpha, phi))
+        for alpha in CAT_SCAN_ALPHAS[::50]:
+            assert main(["usd", "--set", f"alpha={alpha!r}", "--set", f"phi={phi!r}"]) == 3, (alpha, phi)
+            capsys.readouterr()
+    assert live == []
 
 
 def test_overlaps_reports_realized_cutoff(capsys):
