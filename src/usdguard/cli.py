@@ -13,20 +13,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import json
 import os
 import sys
 from typing import TYPE_CHECKING
 
-from . import channel as ch
 from .config import ConfigError, load_config, require_int, require_number
 
-# states, fock, usd and montecarlo are imported inside the commands that
-# compute with them, after the command's config is validated; none of them
-# loads numpy.
+# channel, states, fock, usd and montecarlo, and the csv and dataclasses
+# modules, are imported inside the commands that use them, after the
+# command's own fields are validated: a config error loads none of them,
+# and none of them loads numpy.
 if TYPE_CHECKING:
+    from . import channel as ch
     from . import states as st
     from . import usd
 
@@ -107,13 +106,11 @@ def _gram(preps: tuple[st.StatePrep, ...]) -> st.GramData:
 
 
 def _channel(cfg: dict) -> ch.ChannelModel:
+    rates = {key: require_number(cfg, f"channel.{key}", 0.0, 1.0) for key in ("g", "e", "d0", "d1")}
+    from . import channel as ch
+
     with _as_config_error("channel"):
-        return ch.ChannelModel(
-            g=require_number(cfg, "channel.g", 0.0, 1.0),
-            e=require_number(cfg, "channel.e", 0.0, 1.0),
-            d0=require_number(cfg, "channel.d0", 0.0, 1.0),
-            d1=require_number(cfg, "channel.d1", 0.0, 1.0),
-        )
+        return ch.ChannelModel(**rates)
 
 
 def _eve_strategy(cfg: dict, model: ch.ChannelModel) -> ch.EveStrategy | None:
@@ -122,6 +119,8 @@ def _eve_strategy(cfg: dict, model: ch.ChannelModel) -> ch.EveStrategy | None:
         return None
     if not isinstance(eve_cfg, dict):
         raise ConfigError("eve", "expected an object or null")
+    from . import channel as ch
+
     with _as_config_error("eve"):
         if eve_cfg.get("solve"):
             result = ch.solve_eve(
@@ -132,6 +131,8 @@ def _eve_strategy(cfg: dict, model: ch.ChannelModel) -> ch.EveStrategy | None:
             if not result.feasible:
                 raise ConfigError("eve", "; ".join(result.violations))
             p_e = require_number(cfg, "eve.p_e", 0.0, 1.0) if "p_e" in eve_cfg else 1.0
+            import dataclasses
+
             return dataclasses.replace(result.strategy, p_e=p_e)
         return ch.EveStrategy(
             p_e=require_number(cfg, "eve.p_e", 0.0, 1.0),
@@ -173,6 +174,8 @@ def _csv_writer(path: str, header: list[str]):
     """
     with _as_config_error("--csv", OSError):
         fh = open(path, "w", newline="")
+    import csv
+
     try:
         with fh:
             writer = csv.writer(fh)
@@ -282,6 +285,8 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
                 writer.writerow([value, sol.p_s, sol.p_d, sol.p0])
             sweep_info = {"param": param, "points": len(values), "csv": csv_path}
 
+    import dataclasses
+
     result = {
         "gram": {"s12": _cplx(gram.s12), "s13": _cplx(gram.s13), "s23": _cplx(gram.s23)},
         "geometry": {"l": geom.l, "m": geom.m, "degenerate": geom.degenerate},
@@ -294,7 +299,6 @@ def cmd_usd(cfg: dict, csv_path: str | None) -> int:
 
 def cmd_eve(cfg: dict) -> int:
     alpha, phi = _signal_params(cfg)
-    model = _channel(cfg)
     eve_cfg = cfg.get("eve")
     if eve_cfg is not None and not isinstance(eve_cfg, dict):
         raise ConfigError("eve", "expected an object or null")
@@ -306,6 +310,11 @@ def cmd_eve(cfg: dict) -> int:
         solution = _solve_point(cfg, alpha, phi)
         p_s, p_d = solution.p_s, solution.p_d
         source = "usd"
+    model = _channel(cfg)
+    import dataclasses
+
+    from . import channel as ch
+
     with _as_config_error("channel"):
         solve = ch.solve_eve(model, p_s, p_d)
 
@@ -343,12 +352,14 @@ def cmd_eve(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    model = _channel(cfg)
-    eve = _eve_strategy(cfg, model)
     n_pulses = require_int(cfg, "simulation.n_pulses", lo=1)
     nu = _nu(cfg)
     seed = require_int(cfg, "simulation.seed", lo=0)
     z = require_number(cfg, "simulation.z", lo=0.0)
+    model = _channel(cfg)
+    eve = _eve_strategy(cfg, model)
+    import dataclasses
+
     from . import montecarlo as mc
 
     with _as_config_error("simulation"):
@@ -371,6 +382,8 @@ def cmd_maxloss(cfg: dict, csv_path: str | None) -> int:
     sweep = _sweep_values(cfg, ("mu",))
     if sweep is not None and csv_path is None:
         raise ConfigError("--csv", "sweep output needs a CSV path")
+    from . import channel as ch
+
     out = contextlib.nullcontext() if sweep is None else _csv_writer(csv_path, ["mu", "max_loss_db", "feasible"])
     with out as writer:
         sweep_info = None

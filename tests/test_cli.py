@@ -516,6 +516,30 @@ def test_no_command_loads_numpy():
         assert (code, numpy_loaded, err) == (0, False, ""), argv
 
 
+_LOADED_AFTER_EACH_CHILD = """
+import contextlib, io, json, sys
+from usdguard.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([code, "usdguard.channel" in sys.modules, "dataclasses" in sys.modules]))
+"""
+
+
+def test_config_errors_load_no_computing_module():
+    # each of these is caught before anything is computed, and loading the
+    # channel module and dataclasses (with inspect) would cost ~20 ms of the
+    # process; every case runs in one child, so the first culprit shows
+    cases = [
+        ["usd", "--set", "nu=0"], ["usd", "--set", "alpha=NaN"], ["usd", "--set", "decoy.kind=bogus"],
+        ["overlaps", "--set", "alpha=-1"], ["eve", "--set", "nu=1.5"],
+        ["simulate", "--config", "configs/missing.json"], ["simulate", "--set", "simulation.n_pulses=0"],
+        ["maxloss", "--set", "loss.eta_b=2"],
+    ]
+    lines = _child(_LOADED_AFTER_EACH_CHILD, json.dumps(cases)).splitlines()
+    assert [json.loads(line) for line in lines] == [[2, False, False]] * len(cases)
+
+
 @pytest.mark.parametrize(
     "amplitudes, message",
     [
