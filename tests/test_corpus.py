@@ -19,7 +19,6 @@ import io
 import json
 import math
 import struct
-import sys
 import tempfile
 from pathlib import Path
 
@@ -176,5 +175,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(REPO / "src"))
     regenerate()
